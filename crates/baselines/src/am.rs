@@ -112,18 +112,19 @@ impl Multiplier for Am {
             (((1u128 << product_bits) - 1) >> low) << low
         };
         // Carry-free accumulation of partial products, one error vector
-        // per stage.
+        // per stage. A zero multiplier bit selects `pp = 0`, which leaves
+        // `acc` and both error vectors unchanged, so the stage needs no
+        // branch on the (random) operand bits.
         let mut acc: u128 = 0;
         let mut err_or: u128 = 0;
         let mut err_sum: u128 = 0;
         for bit in 0..self.width {
-            if (b >> bit) & 1 == 1 {
-                let pp = (a as u128) << bit;
-                let e = acc & pp;
-                acc ^= pp;
-                err_or |= e & mask;
-                err_sum += e & mask;
-            }
+            let select = 0u128.wrapping_sub(((b >> bit) & 1) as u128);
+            let pp = ((a as u128) << bit) & select;
+            let e = acc & pp;
+            acc ^= pp;
+            err_or |= e & mask;
+            err_sum += e & mask;
         }
         let recovered = match self.recovery {
             AmRecovery::Or => err_or,
@@ -231,5 +232,77 @@ mod tests {
         assert!(Am::new(16, AmRecovery::Or, 33).is_err());
         assert!(Am::new(3, AmRecovery::Or, 5).is_err());
         assert!(Am::new(16, AmRecovery::Sum, 0).is_ok());
+    }
+
+    /// The partial-product loop as first written, branching on each
+    /// multiplier bit: the reference the branch-free kernel must match.
+    fn multiply_branching(m: &Am, a: u64, b: u64) -> u64 {
+        let product_bits = 2 * m.width;
+        let mask = if m.recovery_bits == 0 {
+            0
+        } else {
+            let low = product_bits.saturating_sub(m.recovery_bits);
+            (((1u128 << product_bits) - 1) >> low) << low
+        };
+        let mut acc: u128 = 0;
+        let mut err_or: u128 = 0;
+        let mut err_sum: u128 = 0;
+        for bit in 0..m.width {
+            if (b >> bit) & 1 == 1 {
+                let pp = (a as u128) << bit;
+                let e = acc & pp;
+                acc ^= pp;
+                err_or |= e & mask;
+                err_sum += e & mask;
+            }
+        }
+        let recovered = match m.recovery {
+            AmRecovery::Or => err_or,
+            AmRecovery::Sum => err_sum,
+        };
+        let approx = acc + (recovered << 1);
+        approx.min((a as u128) * (b as u128)) as u64
+    }
+
+    #[test]
+    fn branch_free_kernel_matches_branching_loop_exhaustively_at_8_bits() {
+        for recovery in [AmRecovery::Or, AmRecovery::Sum] {
+            for nb in 0..=16 {
+                let m = Am::new(8, recovery, nb).unwrap();
+                for a in 0..256u64 {
+                    for b in 0..256u64 {
+                        assert_eq!(
+                            m.multiply(a, b),
+                            multiply_branching(&m, a, b),
+                            "{} ({a}, {b})",
+                            m.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_kernel_matches_branching_loop_at_every_width() {
+        let mut rng = realm_core::rng::SplitMix64::new(0xA3);
+        for width in 4..=32u32 {
+            let max = (1u64 << width) - 1;
+            let corners = [(0, 0), (0, max), (max, 0), (max, max)];
+            for recovery in [AmRecovery::Or, AmRecovery::Sum] {
+                for nb in 0..=2 * width {
+                    let m = Am::new(width, recovery, nb).unwrap();
+                    let random = (0..64).map(|_| (rng.below(max + 1), rng.below(max + 1)));
+                    for (a, b) in corners.into_iter().chain(random) {
+                        assert_eq!(
+                            m.multiply(a, b),
+                            multiply_branching(&m, a, b),
+                            "w={width} {} ({a}, {b})",
+                            m.label()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -33,6 +33,7 @@ const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The SplitMix64 finalizer: two xor-shift-multiply rounds that scramble
 /// a Weyl-sequence state into a uniform output word.
+#[inline]
 fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -78,6 +79,7 @@ impl SplitMix64 {
     }
 
     /// The next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         mix64(self.state)
@@ -93,11 +95,18 @@ impl SplitMix64 {
     /// Uses rejection sampling (Lemire-style threshold on the modulus), so
     /// the distribution is exactly uniform. When `lo > hi` the arguments
     /// are swapped rather than panicking — the generator is total.
+    ///
+    /// When the range holds a power-of-two count of values (every
+    /// `0..=2^w − 1` operand range, and the full `u64` range) the draw
+    /// is one masked word: the rejection zone is then all of `u64` and
+    /// `v % n == v & (n − 1)`, so the value and the generator state are
+    /// exactly those of the rejection loop, without its two divisions.
+    #[inline]
     pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
         let span = hi - lo; // inclusive span − 1
-        if span == u64::MAX {
-            return self.next_u64();
+        if span & span.wrapping_add(1) == 0 {
+            return lo + (self.next_u64() & span);
         }
         let n = span + 1;
         // Rejection threshold: discard draws in the biased tail.
@@ -188,6 +197,96 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         let v = rng.range_inclusive(20, 10);
         assert!((10..=20).contains(&v));
+    }
+
+    /// `range_inclusive` as first written: two divisions per call, no
+    /// power-of-two path. The reference the fast path must match.
+    fn range_inclusive_by_division(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+        let span = hi - lo;
+        if span == u64::MAX {
+            return rng.next_u64();
+        }
+        let n = span + 1;
+        let zone = u64::MAX - (u64::MAX - n + 1) % n;
+        loop {
+            let v = rng.next_u64();
+            if v <= zone {
+                return lo + v % n;
+            }
+        }
+    }
+
+    /// Draws `draws` times from `lo..=hi` with both implementations,
+    /// comparing the value and the generator state after every call.
+    fn assert_matches_division(seed: u64, lo: u64, hi: u64, draws: usize) {
+        let mut fast = SplitMix64::new(seed);
+        let mut reference = fast;
+        for i in 0..draws {
+            let value = fast.range_inclusive(lo, hi);
+            let expected = range_inclusive_by_division(&mut reference, lo, hi);
+            assert_eq!(
+                (value, fast),
+                (expected, reference),
+                "draw {i} from {lo}..={hi}, seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn range_inclusive_matches_division_on_every_small_span() {
+        for span in 0..=4096u64 {
+            for lo in [0, 1, 12_345, u64::MAX - span] {
+                assert_matches_division(span ^ lo, lo, lo + span, 8);
+            }
+        }
+    }
+
+    #[test]
+    fn range_inclusive_matches_division_on_random_large_spans() {
+        let mut bounds = SplitMix64::new(0x5EED);
+        for i in 0..2_000 {
+            let (lo, hi) = (bounds.next_u64(), bounds.next_u64());
+            // Halve some spans so rejection-heavy counts just above a
+            // power of two show up too.
+            let hi = if i % 2 == 0 {
+                hi
+            } else {
+                lo.saturating_add(hi >> 1)
+            };
+            assert_matches_division(i, lo, hi, 16);
+        }
+        let rejection_heavy = [(1u64 << 63) + 1, u64::MAX / 3 * 2, u64::MAX - 1];
+        for (i, n) in rejection_heavy.into_iter().enumerate() {
+            assert_matches_division(i as u64, 0, n - 1, 256);
+            assert_matches_division(i as u64, 1, n, 256);
+        }
+    }
+
+    #[test]
+    fn range_inclusive_matches_division_at_every_power_of_two() {
+        for k in 0..64u32 {
+            let span = (1u64 << k) - 1;
+            let top = u64::MAX - span;
+            for lo in [0, 7, top - 1, top] {
+                assert_matches_division(u64::from(k), lo, lo + span, 32);
+            }
+            // The counts either side of 2^k take the rejection loop.
+            for neighbour in [span.wrapping_sub(1), span + 1] {
+                if neighbour <= top {
+                    assert_matches_division(u64::from(k), top - neighbour, top, 32);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_inclusive_matches_division_on_full_and_swapped_ranges() {
+        assert_matches_division(1, 0, u64::MAX, 64);
+        assert_matches_division(2, u64::MAX, 0, 64);
+        for (lo, hi) in [(20, 10), (65_535, 0), (u64::MAX, 1), (5, 5), (300, 44)] {
+            assert_matches_division(lo ^ hi, lo, hi, 64);
+        }
     }
 
     #[test]

@@ -28,6 +28,10 @@ use crate::summary::{ErrorAccumulator, ErrorSummary};
 /// keeping per-chunk bookkeeping negligible.
 pub const DEFAULT_CHUNK: u64 = 1 << 16;
 
+/// Operand pairs a chunk draws, multiplies and folds per step: its pair
+/// and product buffers hold this many and are reused across steps.
+const BLOCK: usize = 1 << 12;
+
 /// A reproducible Monte-Carlo characterization campaign.
 ///
 /// ```
@@ -191,17 +195,13 @@ impl MonteCarloWorkload<'_> {
         let design = self.design;
         let mut rng = SplitMix64::stream(self.campaign.seed, chunk.index);
         let max = design.max_operand();
-        let mut pairs = Vec::with_capacity(chunk.len as usize);
-        for _ in 0..chunk.len {
-            let a = rng.range_inclusive(0, max);
-            let b = rng.range_inclusive(0, max);
-            pairs.push((a, b));
-        }
         let mut acc = ErrorAccumulator::new();
         if design.width() > 32 {
             // Wide designs: the 64-bit batch register clamps 2N-bit
             // products, so score the unclamped per-pair wide path.
-            for &(a, b) in &pairs {
+            for _ in 0..chunk.len {
+                let a = rng.range_inclusive(0, max);
+                let b = rng.range_inclusive(0, max);
                 let exact = a as u128 * b as u128;
                 if exact == 0 {
                     continue;
@@ -212,16 +212,33 @@ impl MonteCarloWorkload<'_> {
             }
             return acc;
         }
-        let mut products = vec![0u64; pairs.len()];
-        design.multiply_batch(&pairs, &mut products);
-        for (&(a, b), &p) in pairs.iter().zip(&products) {
-            let exact = a as u128 * b as u128;
-            if exact == 0 {
-                continue;
+        // Draw, multiply and fold one block at a time through two reused
+        // buffers. The draws and the fold run in the same order as over
+        // the whole chunk at once, so the accumulator is bit-identical.
+        let block = (chunk.len as usize).min(BLOCK);
+        let mut pairs = vec![(0u64, 0u64); block];
+        let mut products = vec![0u64; block];
+        let mut left = chunk.len as usize;
+        while left > 0 {
+            let n = left.min(BLOCK);
+            left -= n;
+            let (pairs, products) = (&mut pairs[..n], &mut products[..n]);
+            for pair in pairs.iter_mut() {
+                *pair = (rng.range_inclusive(0, max), rng.range_inclusive(0, max));
             }
-            let e = (p as f64 - exact as f64) / exact as f64;
-            acc.push(e);
-            on_error(e);
+            design.multiply_batch(pairs, products);
+            for (&(a, b), &p) in pairs.iter().zip(products.iter()) {
+                // Operands below 2^32 keep the exact product in a u64,
+                // and u64 → f64 rounds the same integer to the same f64
+                // as u128 → f64 does.
+                let exact = a * b;
+                if exact == 0 {
+                    continue;
+                }
+                let e = (p as f64 - exact as f64) / exact as f64;
+                acc.push(e);
+                on_error(e);
+            }
         }
         acc
     }

@@ -121,7 +121,14 @@ struct State {
     draining: AtomicBool,
     accepting: AtomicBool,
     qos: Mutex<QosRuntime>,
+    /// Runs in `submit` right after admission, before the reply: lets a
+    /// test have a worker finish the job first.
+    #[cfg(test)]
+    after_admit: Mutex<Option<AdmitHook>>,
 }
+
+#[cfg(test)]
+type AdmitHook = Box<dyn Fn(&State) + Send>;
 
 /// Per-tenant error-budget bookkeeping: the characterized table (lazy,
 /// persisted as `<dir>/qos_tables.json`) plus one SLA controller per
@@ -308,6 +315,8 @@ impl Server {
             draining: AtomicBool::new(false),
             accepting: AtomicBool::new(true),
             qos: Mutex::new(QosRuntime::default()),
+            #[cfg(test)]
+            after_admit: Mutex::new(None),
             config,
         });
 
@@ -729,16 +738,30 @@ fn submit(state: &Arc<State>, body: &[u8]) -> Response {
         recovered: false,
         result: None,
     };
+    // The view goes in before admission: an admitted job can run to
+    // completion before this thread runs again, and the worker's status
+    // updates must find the view. A job that is not admitted loses it.
+    if let Ok(mut jobs) = state.jobs.lock() {
+        jobs.insert(id, view);
+    }
     // Journal-before-ack: the ledger append (fsync) runs inside the
     // admission decision, so a 202 implies the job survives a crash.
     let admitted = state
         .queue
         .admit(job, |job| state.ledgers.record_accepted(job));
+    #[cfg(test)]
+    if let Ok(hook) = state.after_admit.lock() {
+        if let Some(hook) = hook.as_ref() {
+            hook(state);
+        }
+    }
+    if admitted.is_err() {
+        if let Ok(mut jobs) = state.jobs.lock() {
+            jobs.remove(&id);
+        }
+    }
     match admitted {
         Ok(()) => {
-            if let Ok(mut jobs) = state.jobs.lock() {
-                jobs.insert(id, view);
-            }
             state.registry.incr("jobs_accepted_total", 1);
             state.refresh_gauges();
             Response::json(
@@ -805,5 +828,67 @@ fn job_detail(state: &Arc<State>, path: &str) -> Response {
             _ => Response::error(409, &format!("job is {}; result not ready", view.state)),
         },
         Some(_) => Response::error(404, "no such resource"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{http_request, wait_terminal};
+    use std::time::Instant;
+
+    fn start(name: &str) -> (Server, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("realm-serve-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig {
+            dir: dir.clone(),
+            workers: 1,
+            http_threads: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        (server, dir)
+    }
+
+    const JOB: &str = r#"{"tenant":"t","design":"accurate","samples":256,"seed":3}"#;
+
+    #[test]
+    fn a_job_that_finishes_before_submit_replies_still_completes() {
+        let (server, dir) = start("finish-first");
+        // Hold the submitting thread after admission until the worker
+        // has run the job to its terminal state.
+        *server.state.after_admit.lock().unwrap() = Some(Box::new(|state: &State| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while (state.registry.counter("jobs_completed_total") == 0
+                || state.running.load(Ordering::SeqCst) > 0)
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }));
+        let (status, reply) = http_request(server.addr(), "POST", "/jobs", Some(JOB)).unwrap();
+        assert_eq!(status, 202, "{reply}");
+        assert_eq!(server.registry().counter("jobs_completed_total"), 1);
+        let state = wait_terminal(server.addr(), 0, Duration::from_secs(2)).unwrap();
+        assert_eq!(state, "completed");
+        let (status, result) = http_request(server.addr(), "GET", "/jobs/0/result", None).unwrap();
+        assert_eq!(status, 200, "{result}");
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_refused_job_leaves_no_view() {
+        let (server, dir) = start("refused");
+        server.drain();
+        let (status, reply) = http_request(server.addr(), "POST", "/jobs", Some(JOB)).unwrap();
+        assert_eq!(status, 503, "{reply}");
+        let (status, _) = http_request(server.addr(), "GET", "/jobs/0", None).unwrap();
+        assert_eq!(status, 404);
+        let (_, list) = http_request(server.addr(), "GET", "/jobs", None).unwrap();
+        assert!(list.starts_with(r#"{"jobs":[]"#), "{list}");
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
     }
 }
