@@ -97,26 +97,20 @@ impl CellKind {
         }
     }
 
-    /// Evaluates the cell's boolean function. `inputs[..arity]` are read;
-    /// for [`CellKind::Mux2`] the order is `(a, b, sel)` and the output is
-    /// `sel ? b : a`.
-    pub fn eval(self, inputs: [bool; 3]) -> bool {
+    /// Evaluates the cell's boolean function on 64 lanes at once, one
+    /// bit per lane. `inputs[..arity]` are read; for [`CellKind::Mux2`]
+    /// the order is `(a, b, sel)` and the output is `sel ? b : a`.
+    pub fn eval(self, inputs: [u64; 3]) -> u64 {
         let [a, b, s] = inputs;
         match self {
             CellKind::Inv => !a,
-            CellKind::Nand2 => !(a && b),
-            CellKind::Nor2 => !(a || b),
-            CellKind::And2 => a && b,
-            CellKind::Or2 => a || b,
+            CellKind::Nand2 => !(a & b),
+            CellKind::Nor2 => !(a | b),
+            CellKind::And2 => a & b,
+            CellKind::Or2 => a | b,
             CellKind::Xor2 => a ^ b,
             CellKind::Xnor2 => !(a ^ b),
-            CellKind::Mux2 => {
-                if s {
-                    b
-                } else {
-                    a
-                }
-            }
+            CellKind::Mux2 => (a & !s) | (b & s),
         }
     }
 }
@@ -128,21 +122,19 @@ mod tests {
     #[test]
     fn truth_tables() {
         use CellKind::*;
-        let f = false;
-        let t = true;
-        assert!(Inv.eval([f, f, f]));
-        assert!(!Inv.eval([t, f, f]));
-        assert!(!Nand2.eval([t, t, f]));
-        assert!(Nand2.eval([t, f, f]));
-        assert!(Nor2.eval([f, f, f]));
-        assert!(!Nor2.eval([t, f, f]));
-        assert!(And2.eval([t, t, f]));
-        assert!(Or2.eval([f, t, f]));
-        assert!(!Xor2.eval([t, t, f]));
-        assert!(Xnor2.eval([t, t, f]));
-        // Mux2: (a, b, sel)
-        assert!(Mux2.eval([t, f, f])); // sel=0 → a
-        assert!(!Mux2.eval([t, f, t])); // sel=1 → b
+        // Lane j of the operand words holds the input combination
+        // (a, b, sel) = (bit 0, bit 1, bit 2 of j), j = 0..8.
+        let (a, b, s) = (0b1010_1010u64, 0b1100_1100u64, 0b1111_0000u64);
+        let low8 = |w: u64| w & 0xFF;
+        assert_eq!(low8(Inv.eval([a, b, s])), 0b0101_0101);
+        assert_eq!(low8(Nand2.eval([a, b, s])), 0b0111_0111);
+        assert_eq!(low8(Nor2.eval([a, b, s])), 0b0001_0001);
+        assert_eq!(And2.eval([a, b, s]), 0b1000_1000);
+        assert_eq!(Or2.eval([a, b, s]), 0b1110_1110);
+        assert_eq!(Xor2.eval([a, b, s]), 0b0110_0110);
+        assert_eq!(low8(Xnor2.eval([a, b, s])), 0b1001_1001);
+        // Mux2: (a, b, sel) → sel ? b : a.
+        assert_eq!(Mux2.eval([a, b, s]), 0b1100_1010);
     }
 
     #[test]
