@@ -87,6 +87,8 @@ pub fn wallace_netlist(width: u32) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::designs::verify::assert_exhaustive8;
+    use realm_core::Accurate;
 
     #[test]
     fn exhaustive_4x4() {
@@ -100,12 +102,7 @@ mod tests {
 
     #[test]
     fn exhaustive_8x8_strided() {
-        let nl = wallace_netlist(8);
-        for a in 0..256u64 {
-            for b in (0..256u64).step_by(7) {
-                assert_eq!(nl.eval_one(&[("a", a), ("b", b)], "p"), a * b, "{a}*{b}");
-            }
-        }
+        assert_exhaustive8(&Accurate::new(8), &wallace_netlist(8));
     }
 
     #[test]

@@ -89,9 +89,8 @@ pub fn am_netlist(width: u32, recovery: AmRecovery, nb: u32) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::verify::assert_equivalent;
+    use crate::designs::verify::{assert_equivalent, assert_exhaustive8};
     use realm_baselines::Am;
-    use realm_core::Multiplier;
 
     #[test]
     fn am1_matches_behavioural() {
@@ -120,15 +119,10 @@ mod tests {
 
     #[test]
     fn am_8bit_exhaustive_slice() {
-        let model = Am::new(8, AmRecovery::Or, 7).unwrap();
-        let nl = am_netlist(8, AmRecovery::Or, 7);
-        for a in (0..256u64).step_by(3) {
-            for b in (0..256u64).step_by(5) {
-                assert_eq!(
-                    nl.eval_one(&[("a", a), ("b", b)], "p"),
-                    model.multiply(a, b),
-                    "({a}, {b})"
-                );
+        for recovery in [AmRecovery::Or, AmRecovery::Sum] {
+            for nb in [3u32, 5, 7] {
+                let model = Am::new(8, recovery, nb).unwrap();
+                assert_exhaustive8(&model, &am_netlist(8, recovery, nb));
             }
         }
     }

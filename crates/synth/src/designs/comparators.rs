@@ -141,9 +141,8 @@ pub fn ilm_netlist(width: u32, iterations: u32) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::verify::assert_equivalent;
+    use crate::designs::verify::{assert_equivalent, assert_exhaustive8};
     use realm_baselines::{Ilm, ScaleTrim};
-    use realm_core::Multiplier;
 
     #[test]
     fn scaletrim_matches_behavioural_16bit() {
@@ -155,16 +154,9 @@ mod tests {
 
     #[test]
     fn scaletrim_8bit_exhaustive_slice() {
-        let model = ScaleTrim::new(8, 4, true).unwrap();
-        let nl = scaletrim_netlist(8, 4, true);
-        for a in 0..256u64 {
-            for b in (0..256u64).step_by(7) {
-                assert_eq!(
-                    nl.eval_one(&[("a", a), ("b", b)], "p"),
-                    model.multiply(a, b),
-                    "({a}, {b})"
-                );
-            }
+        for (t, c) in [(2u32, true), (4, true), (4, false)] {
+            let model = ScaleTrim::new(8, t, c).unwrap();
+            assert_exhaustive8(&model, &scaletrim_netlist(8, t, c));
         }
     }
 
@@ -178,16 +170,9 @@ mod tests {
 
     #[test]
     fn ilm_8bit_exhaustive_slice() {
-        let model = Ilm::new(8, 2).unwrap();
-        let nl = ilm_netlist(8, 2);
-        for a in 0..256u64 {
-            for b in (0..256u64).step_by(7) {
-                assert_eq!(
-                    nl.eval_one(&[("a", a), ("b", b)], "p"),
-                    model.multiply(a, b),
-                    "({a}, {b})"
-                );
-            }
+        for i in [1u32, 2] {
+            let model = Ilm::new(8, i).unwrap();
+            assert_exhaustive8(&model, &ilm_netlist(8, i));
         }
     }
 

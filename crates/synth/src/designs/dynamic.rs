@@ -110,9 +110,8 @@ pub fn essm8_netlist() -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::verify::assert_equivalent;
+    use crate::designs::verify::{assert_equivalent, assert_exhaustive8};
     use realm_baselines::{Drum, Essm8, Ssm};
-    use realm_core::Multiplier;
 
     #[test]
     fn drum_matches_behavioural() {
@@ -124,16 +123,9 @@ mod tests {
 
     #[test]
     fn drum_8bit_exhaustive_slice() {
-        let model = Drum::new(8, 4).unwrap();
-        let nl = drum_netlist(8, 4);
-        for a in 0..256u64 {
-            for b in (0..256u64).step_by(7) {
-                assert_eq!(
-                    nl.eval_one(&[("a", a), ("b", b)], "p"),
-                    model.multiply(a, b),
-                    "({a}, {b})"
-                );
-            }
+        for k in [4u32, 6] {
+            let model = Drum::new(8, k).unwrap();
+            assert_exhaustive8(&model, &drum_netlist(8, k));
         }
     }
 
@@ -142,6 +134,14 @@ mod tests {
         for m in [8u32, 9, 10] {
             let model = Ssm::new(16, m).unwrap();
             assert_equivalent(&model, &ssm_netlist(16, m), 300);
+        }
+    }
+
+    #[test]
+    fn ssm_8bit_exhaustive() {
+        for m in [4u32, 6] {
+            let model = Ssm::new(8, m).unwrap();
+            assert_exhaustive8(&model, &ssm_netlist(8, m));
         }
     }
 

@@ -130,7 +130,7 @@ pub fn intalp_netlist(model: &IntAlp) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::verify::assert_equivalent;
+    use crate::designs::verify::{assert_equivalent, assert_exhaustive8};
 
     #[test]
     fn intalp_l1_matches_behavioural() {
@@ -147,16 +147,13 @@ mod tests {
     #[test]
     fn intalp_l1_8bit_exhaustive_slice() {
         let model = IntAlp::new(8, 1).unwrap();
-        let nl = intalp_netlist(&model);
-        for a in (0..256u64).step_by(3) {
-            for b in 0..256u64 {
-                assert_eq!(
-                    nl.eval_one(&[("a", a), ("b", b)], "p"),
-                    model.multiply(a, b),
-                    "({a}, {b})"
-                );
-            }
-        }
+        assert_exhaustive8(&model, &intalp_netlist(&model));
+    }
+
+    #[test]
+    fn intalp_l2_8bit_exhaustive() {
+        let model = IntAlp::new(8, 2).unwrap();
+        assert_exhaustive8(&model, &intalp_netlist(&model));
     }
 
     #[test]

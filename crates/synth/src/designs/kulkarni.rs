@@ -80,6 +80,7 @@ pub fn kulkarni_netlist(width: u32) -> Netlist {
 mod tests {
     use super::*;
     use crate::blocks::multiplier::wallace_netlist;
+    use crate::designs::verify::assert_exhaustive8;
     use realm_baselines::Kulkarni;
     use realm_core::Multiplier;
 
@@ -97,16 +98,7 @@ mod tests {
     #[test]
     fn exhaustive_8bit_matches_behavioural() {
         let model = Kulkarni::new(8).expect("power of two");
-        let nl = kulkarni_netlist(8);
-        for a in (0..256u64).step_by(3) {
-            for b in 0..256u64 {
-                assert_eq!(
-                    nl.eval_one(&[("a", a), ("b", b)], "p"),
-                    model.multiply(a, b),
-                    "({a}, {b})"
-                );
-            }
-        }
+        assert_exhaustive8(&model, &kulkarni_netlist(8));
     }
 
     #[test]

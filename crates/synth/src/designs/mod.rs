@@ -159,7 +159,40 @@ pub fn table1_pairs() -> Vec<DesignPair> {
 pub(crate) mod verify {
     use realm_core::Multiplier;
 
-    use crate::netlist::Netlist;
+    use crate::netlist::{read_lane, set_lanes, Net, Netlist, LANES};
+
+    fn bus<'a>(buses: &'a [(String, Vec<Net>)], name: &str) -> &'a [Net] {
+        let found = buses.iter().find(|(n, _)| n == name);
+        &found.unwrap_or_else(|| panic!("no bus named '{name}'")).1
+    }
+
+    /// Asserts netlist ≡ behavioural model on all 65536 operand pairs of
+    /// an 8-bit design, 64 pairs per word-parallel pass: pair `i` is
+    /// `(a, b) = (i & 0xFF, i >> 8)`.
+    pub fn assert_exhaustive8(model: &dyn Multiplier, netlist: &Netlist) {
+        assert_eq!(model.width(), 8, "{}", netlist.name());
+        let a_bus = bus(netlist.inputs(), "a");
+        let b_bus = bus(netlist.inputs(), "b");
+        let p_bus = bus(netlist.outputs(), "p");
+        let mut words = vec![0; netlist.net_count()];
+        for first in (0..1u64 << 16).step_by(LANES) {
+            let pairs = first..first + LANES as u64;
+            let a: Vec<u64> = pairs.clone().map(|i| i & 0xFF).collect();
+            let b: Vec<u64> = pairs.map(|i| i >> 8).collect();
+            set_lanes(&mut words, a_bus, &a);
+            set_lanes(&mut words, b_bus, &b);
+            netlist.eval_words(&mut words, None);
+            for (lane, (&a, &b)) in a.iter().zip(&b).enumerate() {
+                let got = read_lane(&words, p_bus, lane);
+                assert_eq!(
+                    got,
+                    model.multiply(a, b),
+                    "{} at ({a}, {b})",
+                    netlist.name()
+                );
+            }
+        }
+    }
 
     /// Asserts netlist ≡ behavioural model on corners plus a deterministic
     /// pseudo-random sweep.
