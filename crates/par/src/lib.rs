@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Instant;
 
-use realm_obs::{Collector, Event, NullCollector};
+use realm_obs::{Collector, Event};
 
 /// Worker-count policy for a parallel campaign.
 ///
@@ -276,8 +276,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The fault-isolating sibling of [`map_chunks`]: executes an explicit
 /// subset of a plan's chunks, catches per-chunk panics instead of
-/// aborting the campaign, reports each chunk the moment it finishes, and
-/// stops claiming new chunks once `should_stop` turns true.
+/// aborting the campaign, reports each chunk the moment it finishes,
+/// stops claiming new chunks once `should_stop` turns true, and brackets
+/// every chunk execution with `chunk_start` / `chunk_end` events on
+/// `collector`, timed with a monotonic clock on the worker thread that
+/// ran it.
 ///
 /// This is the execution primitive the `realm-harness` supervisor builds
 /// checkpoint/resume, retry/quarantine and deadline handling on:
@@ -285,6 +288,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// * `indices` — which chunks of `plan` to run (a resumed campaign
 ///   passes only the chunks its journal is missing). Indices must be
 ///   in-range for the plan.
+/// * `attempt` — labels the spans (0 = first try, ≥ 1 = a retry pass);
+///   the caller drives retries by re-invoking with the still-failing
+///   indices and a bumped attempt number, as `realm-harness` does.
+/// * `collector` — when `collector.enabled()` is false (pass
+///   [`realm_obs::NullCollector`] for an untraced run), no event is
+///   built and no clock is read, so tracing costs the hot path nothing
+///   unless someone is listening.
 /// * `should_stop` — polled before every chunk claim; once true, no new
 ///   chunk starts (in-flight chunks finish and are reported normally).
 /// * `f` — the chunk body. A panic is caught and surfaced as
@@ -297,48 +307,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Returns the attempted chunks as `(index, outcome)` **sorted by chunk
 /// index**; chunks skipped because `should_stop` tripped are absent.
 /// Like [`map_chunks`], scheduling never affects payload values — only
-/// which chunks got a chance to run before the stop.
-pub fn run_chunks_supervised<T, F, C, S>(
-    plan: ChunkPlan,
-    threads: Threads,
-    indices: &[u64],
-    should_stop: &S,
-    f: &F,
-    on_complete: &C,
-) -> Vec<(u64, ChunkRun<T>)>
-where
-    T: Send,
-    F: Fn(Chunk) -> T + Sync,
-    C: Fn(u64, &ChunkRun<T>) + Sync,
-    S: Fn() -> bool + Sync,
-{
-    run_chunks_traced(
-        plan,
-        threads,
-        indices,
-        0,
-        &NullCollector,
-        should_stop,
-        f,
-        on_complete,
-    )
-}
-
-/// [`run_chunks_supervised`] with chunk-span instrumentation: every
-/// chunk execution is bracketed by `chunk_start` / `chunk_end` events
-/// on `collector`, timed with a monotonic clock on the worker thread
-/// that ran it.
-///
-/// * `attempt` labels the spans (0 = first try, ≥ 1 = a retry pass);
-///   the caller drives retries by re-invoking with the still-failing
-///   indices and a bumped attempt number, as `realm-harness` does.
-/// * When `collector.enabled()` is false (the [`NullCollector`]
-///   default), no event is built and no clock is read — tracing costs
-///   the hot path nothing unless someone is listening.
-///
-/// Observability is passive: the collector sees timings but never
-/// influences chunk payloads, ordering or scheduling, so a traced run
-/// is bit-identical to an untraced one.
+/// which chunks got a chance to run before the stop. Observability is
+/// passive too: the collector sees timings but never influences chunk
+/// payloads, ordering or scheduling, so a traced run is bit-identical to
+/// an untraced one.
 #[allow(clippy::too_many_arguments)] // the supervision surface is one call deep
 pub fn run_chunks_traced<T, F, C, S>(
     plan: ChunkPlan,
@@ -429,6 +401,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use realm_obs::NullCollector;
 
     #[test]
     fn threads_resolve_is_at_least_one() {
@@ -551,10 +524,12 @@ mod tests {
         let plan = ChunkPlan::new(100, 10);
         let indices = [1u64, 4, 7];
         for workers in [1usize, 4] {
-            let runs = run_chunks_supervised(
+            let runs = run_chunks_traced(
                 plan,
                 Threads::Fixed(workers),
                 &indices,
+                0,
+                &NullCollector,
                 &|| false,
                 &|c| c.start,
                 &|_, _| {},
@@ -571,10 +546,12 @@ mod tests {
     fn supervised_isolates_panicking_chunks() {
         let plan = ChunkPlan::new(16, 1);
         for workers in [1usize, 4] {
-            let runs = run_chunks_supervised(
+            let runs = run_chunks_traced(
                 plan,
                 Threads::Fixed(workers),
                 &(0..16).collect::<Vec<u64>>(),
+                0,
+                &NullCollector,
                 &|| false,
                 &|c| {
                     assert!(c.index != 5, "boom on chunk 5");
@@ -599,10 +576,12 @@ mod tests {
     #[test]
     fn supervised_honors_should_stop_immediately() {
         let plan = ChunkPlan::new(64, 1);
-        let runs = run_chunks_supervised(
+        let runs = run_chunks_traced(
             plan,
             Threads::Fixed(4),
             &(0..64).collect::<Vec<u64>>(),
+            0,
+            &NullCollector,
             &|| true,
             &|c| c.index,
             &|_, _| {},
@@ -676,10 +655,12 @@ mod tests {
             &body,
             &|_, _| {},
         );
-        let plain = run_chunks_supervised(
+        let plain = run_chunks_traced(
             plan,
             Threads::Fixed(3),
             &indices,
+            0,
+            &NullCollector,
             &|| false,
             &body,
             &|_, _| {},
@@ -697,10 +678,12 @@ mod tests {
         use std::sync::Mutex;
         let plan = ChunkPlan::new(40, 4);
         let seen = Mutex::new(Vec::new());
-        let runs = run_chunks_supervised(
+        let runs = run_chunks_traced(
             plan,
             Threads::Fixed(3),
             &(0..10).collect::<Vec<u64>>(),
+            0,
+            &NullCollector,
             &|| false,
             &|c| c.len,
             &|i, _| seen.lock().unwrap().push(i),
