@@ -8,6 +8,8 @@
 //! the approximate schemes of [`crate::adders`], shrinking the adder at
 //! the cost of extra (and, for SOA, positively biased) error.
 
+use std::ops::RangeInclusive;
+
 use crate::adders::{approx_add, LowerPart};
 use realm_core::mitchell::{self, LogEncoding};
 use realm_core::Multiplier;
@@ -23,7 +25,9 @@ pub enum AlmAdder {
 }
 
 impl AlmAdder {
-    fn lower_part(self) -> LowerPart {
+    /// The lower-part scheme of [`crate::adders`] this adder models,
+    /// shared by the behavioural model and its netlist.
+    pub fn lower_part(self) -> LowerPart {
         match self {
             AlmAdder::Maa => LowerPart::Or,
             AlmAdder::Soa => LowerPart::SetOne,
@@ -51,17 +55,21 @@ pub struct Alm {
 }
 
 impl Alm {
+    /// The operand widths [`Alm::new`] accepts.
+    pub const WIDTHS: RangeInclusive<u32> = 4..=32;
+
     /// Creates an ALM with the chosen adder type and `m` approximate
     /// lower bits (the paper sweeps `m ∈ {3, 6, 9, 11, 12}` at `N = 16`).
     ///
     /// # Panics
     ///
-    /// Panics unless `4 <= width <= 32` and `m < width − 1` (the
-    /// approximation must stay inside the fraction field).
+    /// Panics unless `width` is in [`Alm::WIDTHS`] and `m < width − 1`
+    /// (the approximation must stay inside the fraction field).
     pub fn new(width: u32, adder: AlmAdder, lower_bits: u32) -> Self {
         assert!(
-            (4..=32).contains(&width),
-            "ALM width must be in 4..=32, got {width}"
+            Self::WIDTHS.contains(&width),
+            "ALM width must be in {:?}, got {width}",
+            Self::WIDTHS
         );
         assert!(
             lower_bits < width - 1,

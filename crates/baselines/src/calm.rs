@@ -7,6 +7,8 @@
 //! Its relative error is one-sided — always in `(−11.11 %, 0]` — which is
 //! exactly the bias REALM's per-segment factors remove.
 
+use std::ops::RangeInclusive;
+
 use realm_core::mitchell::{self, LogEncoding};
 use realm_core::Multiplier;
 
@@ -27,15 +29,19 @@ pub struct Calm {
 }
 
 impl Calm {
+    /// The operand widths [`Calm::new`] accepts.
+    pub const WIDTHS: RangeInclusive<u32> = 4..=64;
+
     /// Creates a cALM for `width`-bit operands.
     ///
     /// # Panics
     ///
-    /// Panics unless `4 <= width <= 64`.
+    /// Panics if `width` is outside [`Calm::WIDTHS`].
     pub fn new(width: u32) -> Self {
         assert!(
-            (4..=64).contains(&width),
-            "cALM width must be in 4..=64, got {width}"
+            Self::WIDTHS.contains(&width),
+            "cALM width must be in {:?}, got {width}",
+            Self::WIDTHS
         );
         Calm { width }
     }

@@ -9,6 +9,8 @@
 //! roughly halved and double-sided. The REALM paper evaluates the "EA"
 //! configuration (exact adder), which this model implements.
 
+use std::ops::RangeInclusive;
+
 use realm_core::mitchell;
 use realm_core::Multiplier;
 
@@ -33,15 +35,19 @@ pub struct ImpLm {
 }
 
 impl ImpLm {
+    /// The operand widths [`ImpLm::new`] accepts.
+    pub const WIDTHS: RangeInclusive<u32> = 4..=32;
+
     /// Creates an ImpLM for `width`-bit operands.
     ///
     /// # Panics
     ///
-    /// Panics unless `4 <= width <= 32`.
+    /// Panics if `width` is outside [`ImpLm::WIDTHS`].
     pub fn new(width: u32) -> Self {
         assert!(
-            (4..=32).contains(&width),
-            "ImpLM width must be in 4..=32, got {width}"
+            Self::WIDTHS.contains(&width),
+            "ImpLM width must be in {:?}, got {width}",
+            Self::WIDTHS
         );
         ImpLm { width }
     }

@@ -55,7 +55,7 @@ impl Mbm {
         if !(4..=32).contains(&width) {
             return Err(realm_core::ConfigError::UnsupportedWidth { width });
         }
-        if truncation + 1 >= width {
+        if truncation >= width - 1 {
             return Err(realm_core::ConfigError::TruncationTooLarge {
                 truncation,
                 fraction_bits: width - 1,

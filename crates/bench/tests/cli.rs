@@ -107,6 +107,7 @@ fn malformed_design_spec_exits_2_with_usage_everywhere() {
         ("ilm@banana", 3),      // malformed @W width suffix
         ("calm@16:w=16", 4),    // width given twice
         ("drum:k=6,typo=1", 5), // unknown parameter key
+        ("calm@100", 6),        // width the design cannot build
     ];
     for (bad, i) in cases {
         let (name, exe) = BINS[i % BINS.len()];

@@ -1,6 +1,8 @@
 //! The exact reference multiplier every approximate design is measured
 //! against (the paper's "accurate multiplier", a Wallace-tree in hardware).
 
+use std::ops::RangeInclusive;
+
 use crate::multiplier::Multiplier;
 
 /// Exact `N`-bit unsigned multiplier.
@@ -21,15 +23,19 @@ pub struct Accurate {
 }
 
 impl Accurate {
+    /// The operand widths [`Accurate::new`] accepts.
+    pub const WIDTHS: RangeInclusive<u32> = 1..=64;
+
     /// Creates an exact multiplier for `width`-bit operands.
     ///
     /// # Panics
     ///
-    /// Panics if `width` is 0 or greater than 64.
+    /// Panics if `width` is outside [`Accurate::WIDTHS`].
     pub fn new(width: u32) -> Self {
         assert!(
-            (1..=64).contains(&width),
-            "accurate multiplier width must be in 1..=64, got {width}"
+            Self::WIDTHS.contains(&width),
+            "accurate multiplier width must be in {:?}, got {width}",
+            Self::WIDTHS
         );
         Accurate { width }
     }

@@ -19,7 +19,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// The operand width `N` is outside the supported `4..=64` range.
+    /// The operand width `N` is outside the range the design supports
+    /// (`4..=64` for REALM).
     UnsupportedWidth {
         /// The rejected width.
         width: u32,
@@ -73,10 +74,7 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             ConfigError::UnsupportedWidth { width } => {
-                write!(
-                    f,
-                    "operand width {width} is outside the supported range 4..=64"
-                )
+                write!(f, "operand width {width} is not supported by this design")
             }
             ConfigError::InvalidSegmentCount { segments } => {
                 write!(

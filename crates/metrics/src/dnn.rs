@@ -21,9 +21,9 @@
 //!   (`scaletrim:t=6@16` ≡ `scaletrim@16:t=6`), matching how the specs
 //!   read aloud.
 //!
-//! Because design parameters are single-letter keys (`m`, `t`, `q`, `w`,
-//! `k`, `s`, `c`, `i`) and layer names are longer identifiers, a
-//! `key=value` segment after a binding unambiguously continues that
+//! Because design parameters are the short keys of the family table
+//! (`m`, `t`, `q`, `w`, `nb`, …) and layer names are longer identifiers,
+//! a `key=value` segment after a binding unambiguously continues that
 //! binding's parameter list:
 //!
 //! ```
@@ -38,6 +38,7 @@
 //! Layers not named by a spec keep the sweep's default design, so a spec
 //! is a *patch* over a uniform baseline.
 
+use realm_baselines::catalog::FAMILIES;
 use realm_core::Multiplier;
 use realm_dsp::QuantNet;
 use realm_par::{Chunk, ChunkPlan};
@@ -55,12 +56,14 @@ pub struct LayerBinding {
     pub design: String,
 }
 
-/// Design parameter keys — the single letters that disambiguate a
-/// parameter continuation from a new `layer=design` binding.
-const PARAM_KEYS: [&str; 8] = ["w", "m", "t", "q", "k", "s", "c", "i"];
-
+/// Whether `text` is a design parameter key of any family — what
+/// disambiguates a parameter continuation from a new `layer=design`
+/// binding.
 fn is_param_key(text: &str) -> bool {
-    PARAM_KEYS.contains(&text.trim().to_ascii_lowercase().as_str())
+    let text = text.trim().to_ascii_lowercase();
+    FAMILIES
+        .iter()
+        .any(|family| family.keys.iter().any(|&(key, _)| key == text))
 }
 
 fn bad(design: &str, detail: String) -> SpecError {

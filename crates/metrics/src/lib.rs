@@ -61,5 +61,7 @@ pub use realm_harness::{Supervised, Supervisor};
 /// metrics and JSONL events from every `*_supervised` campaign family.
 pub use realm_obs as obs;
 pub use realm_par::Threads;
-pub use spec::{parse_design, CampaignSpec, ErrorSla, FamilySpec, Scoped, SpecError, SpecWorkload};
+pub use spec::{
+    parse_design, CampaignSpec, DesignSpec, ErrorSla, FamilySpec, Scoped, SpecError, SpecWorkload,
+};
 pub use summary::{ErrorAccumulator, ErrorSummary};

@@ -13,25 +13,32 @@
 //! design := name [ "@" width ] [ ":" key "=" int { "," key "=" int } ]
 //! ```
 //!
-//! | name | keys (default) | constructor |
-//! |---|---|---|
-//! | `accurate` | `w` (16) | exact double-wide multiplier |
-//! | `realm` | `w` (16), `m` (16), `t` (0), `q` (6) | the paper's REALM |
-//! | `calm` | `w` (16) | Mitchell-based cALM baseline |
-//! | `drum` | `w` (16), `k` (6) | DRUM with `k`-bit fragment |
-//! | `kulkarni` | `w` (16) | 2×2-array underdesigned multiplier |
-//! | `implm` | `w` (16) | ImpLM baseline |
-//! | `mbm` | `w` (16), `t` (0) | Mitchell-based MBM, truncation `t` |
-//! | `ssm` | `w` (16), `s` (8) | static segment multiplier |
-//! | `scaletrim` | `w` (16), `t` (4), `c` (1) | scaleTRIM, `t` cross-term bits, compensation `c` ∈ {0,1} |
-//! | `ilm` | `w` (16), `i` (2) | iterative log multiplier, `i` ∈ {1,2} iterations |
+//! [`DesignSpec`] holds the grammar and its family table; [`parse_design`]
+//! parses a text and builds its model. Widths are what the model accepts:
+//!
+//! | name | keys (default) | widths | design |
+//! |---|---|---|---|
+//! | `accurate` | `w` (16) | 1…64 | exact double-wide multiplier |
+//! | `realm` | `w` (16), `m` (16), `t` (0), `q` (6) | 4…64 | the paper's REALM |
+//! | `calm` | `w` (16) | 4…64 | Mitchell-based cALM baseline |
+//! | `alm-maa`, `alm-soa` | `w` (16), `m` (11) | 4…32 | ALM with `m` approximate adder bits, `m < w − 1` |
+//! | `implm` | `w` (16) | 4…32 | ImpLM baseline |
+//! | `mbm` | `w` (16), `t` (0) | 4…32 | Mitchell-based MBM, truncation `t` |
+//! | `am1`, `am2` | `w` (16), `nb` (9) | 4…32 | AM1/AM2 with `nb` error-recovery columns |
+//! | `intalp` | `w` (16), `l` (1) | 4…32 | IntALP with `l` ∈ {1,2} levels |
+//! | `drum` | `w` (16), `k` (6) | 4…64 | DRUM with `k`-bit fragment |
+//! | `ssm` | `w` (16), `s` (8) | 4…32 | static segment multiplier |
+//! | `essm8` | `w` (16) | 16 | ESSM with three 8-bit segments |
+//! | `scaletrim` | `w` (16), `t` (4), `c` (1) | 4…64 | scaleTRIM, `t` cross-term bits, compensation `c` ∈ {0,1} |
+//! | `ilm` | `w` (16), `i` (2) | 4…64 | iterative log multiplier, `i` ∈ {1,2} iterations |
+//! | `kulkarni` | `w` (16) | 2…32 (powers of two) | 2×2-array underdesigned multiplier |
 //!
 //! The `@width` suffix is shorthand for the `w` key (`"calm@8"` ≡
 //! `"calm:w=8"`); giving both is an error, not a tiebreak.
 //!
 //! Unknown names and unknown keys are errors (a job server must reject,
-//! not guess); invalid parameter combinations surface the design's own
-//! [`ConfigError`].
+//! not guess); a width or parameter combination the design does not
+//! support surfaces the design's own [`ConfigError`].
 //!
 //! # Scoping
 //!
@@ -44,8 +51,9 @@
 
 use std::fmt;
 
-use realm_baselines::{Calm, Drum, Ilm, ImpLm, Kulkarni, Mbm, ScaleTrim, Ssm};
-use realm_core::{Accurate, ConfigError, Multiplier, Realm, RealmConfig};
+pub use realm_baselines::catalog::DesignSpec;
+use realm_baselines::catalog::ParseError;
+use realm_core::{ConfigError, Multiplier};
 use realm_harness::{CampaignId, HarnessError, Supervised, Supervisor};
 use realm_par::{Chunk, ChunkPlan};
 
@@ -57,7 +65,7 @@ use crate::summary::ErrorSummary;
 /// Errors from parsing or running a campaign specification.
 #[derive(Debug)]
 pub enum SpecError {
-    /// The design name is not in the grammar table.
+    /// The design name is not in the family table.
     UnknownDesign(String),
     /// A parameter was malformed, out of range, or not a key the named
     /// design accepts.
@@ -79,11 +87,10 @@ pub enum SpecError {
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpecError::UnknownDesign(name) => write!(
-                f,
-                "unknown design '{name}' (expected \
-                 accurate|realm|calm|drum|kulkarni|implm|mbm|ssm|scaletrim|ilm)"
-            ),
+            // The registry's message, which lists the family table's names.
+            SpecError::UnknownDesign(name) => {
+                fmt::Display::fmt(&ParseError::UnknownDesign(name.clone()), f)
+            }
             SpecError::BadParam { design, detail } => {
                 write!(f, "bad parameter in design '{design}': {detail}")
             }
@@ -95,6 +102,15 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<ParseError> for SpecError {
+    fn from(e: ParseError) -> Self {
+        match e {
+            ParseError::UnknownDesign(name) => SpecError::UnknownDesign(name),
+            ParseError::BadParam { design, detail } => SpecError::BadParam { design, detail },
+        }
+    }
+}
 
 impl From<ConfigError> for SpecError {
     fn from(e: ConfigError) -> Self {
@@ -214,116 +230,11 @@ impl fmt::Display for ErrorSla {
     }
 }
 
-/// Parses one `key=int` list (`"m=16,t=0"`), rejecting malformed pairs.
-fn parse_params(design: &str, text: &str) -> Result<Vec<(String, u64)>, SpecError> {
-    let bad = |detail: String| SpecError::BadParam {
-        design: design.to_string(),
-        detail,
-    };
-    let mut params = Vec::new();
-    for kv in text.split(',') {
-        let kv = kv.trim();
-        if kv.is_empty() {
-            continue;
-        }
-        let (key, value) = kv
-            .split_once('=')
-            .ok_or_else(|| bad(format!("expected key=value, got '{kv}'")))?;
-        let value: u64 = value
-            .trim()
-            .parse()
-            .map_err(|_| bad(format!("'{}' is not an unsigned integer", value.trim())))?;
-        params.push((key.trim().to_ascii_lowercase(), value));
-    }
-    Ok(params)
-}
-
 /// Builds a design from its textual description (see the
-/// [module-level grammar](self)).
+/// [module-level grammar](self)): [`DesignSpec::parse`], then
+/// [`DesignSpec::build`].
 pub fn parse_design(text: &str) -> Result<Box<dyn Multiplier>, SpecError> {
-    let (name, param_text) = match text.split_once(':') {
-        Some((name, params)) => (name, params),
-        None => (text, ""),
-    };
-    let bad = |detail: String| SpecError::BadParam {
-        design: text.to_string(),
-        detail,
-    };
-    // The `@width` suffix: `name@W` is shorthand for `w=W`.
-    let (name, at_width) = match name.split_once('@') {
-        Some((base, wtext)) => {
-            let w: u32 = wtext.trim().parse().map_err(|_| {
-                bad(format!(
-                    "'@{}' is not an unsigned operand width",
-                    wtext.trim()
-                ))
-            })?;
-            (base, Some(w))
-        }
-        None => (name, None),
-    };
-    let name = name.trim().to_ascii_lowercase();
-    let params = parse_params(text, param_text)?;
-
-    let allowed: &[&str] = match name.as_str() {
-        "accurate" | "calm" | "kulkarni" | "implm" => &["w"],
-        "realm" => &["w", "m", "t", "q"],
-        "drum" => &["w", "k"],
-        "mbm" => &["w", "t"],
-        "ssm" => &["w", "s"],
-        "scaletrim" => &["w", "t", "c"],
-        "ilm" => &["w", "i"],
-        _ => return Err(SpecError::UnknownDesign(name)),
-    };
-    if let Some((key, _)) = params.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
-        return Err(bad(format!(
-            "'{name}' does not accept key '{key}' (allowed: {})",
-            allowed.join(", ")
-        )));
-    }
-    if at_width.is_some() && params.iter().any(|(k, _)| k == "w") {
-        return Err(bad(
-            "operand width given both as '@W' suffix and 'w=' key".into()
-        ));
-    }
-    let get = |key: &str, default: u32| -> Result<u32, SpecError> {
-        match params.iter().rev().find(|(k, _)| k == key) {
-            None => Ok(default),
-            Some((_, v)) => {
-                u32::try_from(*v).map_err(|_| bad(format!("'{key}={v}' does not fit in 32 bits")))
-            }
-        }
-    };
-
-    let w = match at_width {
-        Some(w) => w,
-        None => get("w", 16)?,
-    };
-    let design: Box<dyn Multiplier> = match name.as_str() {
-        "accurate" => Box::new(Accurate::new(w)),
-        "realm" => Box::new(Realm::new(RealmConfig::new(
-            w,
-            get("m", 16)?,
-            get("t", 0)?,
-            get("q", 6)?,
-        ))?),
-        "calm" => Box::new(Calm::new(w)),
-        "drum" => Box::new(Drum::new(w, get("k", 6)?)?),
-        "kulkarni" => Box::new(Kulkarni::new(w)?),
-        "implm" => Box::new(ImpLm::new(w)),
-        "mbm" => Box::new(Mbm::new(w, get("t", 0)?)?),
-        "ssm" => Box::new(Ssm::new(w, get("s", 8)?)?),
-        "scaletrim" => {
-            let c = get("c", 1)?;
-            if c > 1 {
-                return Err(bad(format!("'c={c}' must be 0 or 1")));
-            }
-            Box::new(ScaleTrim::new(w, get("t", 4)?, c == 1)?)
-        }
-        "ilm" => Box::new(Ilm::new(w, get("i", 2)?)?),
-        _ => return Err(SpecError::UnknownDesign(name)),
-    };
-    Ok(design)
+    Ok(DesignSpec::parse(text)?.build()?)
 }
 
 /// Which characterization family a spec runs, with the family's own

@@ -18,16 +18,12 @@
 //! convention as the bench artifacts — so a load round-trips every
 //! metric bit-exactly.
 
-use realm_core::{Realm, RealmConfig};
 use realm_harness::Fnv64;
-use realm_metrics::{distance_metrics_threaded, parse_design, MonteCarlo, Threads};
+use realm_metrics::{distance_metrics_threaded, DesignSpec, MonteCarlo, Threads};
 use realm_obs::{atomic_write_str, json_string, Json};
-use realm_synth::designs::{
-    calm_netlist, drum_netlist, ilm_netlist, mbm_netlist, realm_netlist, scaletrim_netlist,
-    wallace16,
-};
+use realm_synth::designs::netlist;
 use realm_synth::report::{PAPER_ACCURATE_AREA_UM2, PAPER_ACCURATE_POWER_UW};
-use realm_synth::{Netlist, Reporter};
+use realm_synth::Reporter;
 use std::path::Path;
 
 use crate::QosError;
@@ -82,109 +78,30 @@ impl TableConfig {
         h.update(&self.samples.to_le_bytes());
         h.update(&self.seed.to_le_bytes());
         h.update(&self.cycles.to_le_bytes());
-        for design in zoo() {
-            h.update(design.text.as_bytes());
+        for text in zoo_designs() {
+            h.update(text.as_bytes());
             h.update(b"\n");
         }
         h.finish()
     }
 }
 
-/// How a zoo member maps to a synthesizable netlist.
-#[derive(Debug, Clone, Copy)]
-enum ZooKind {
-    Accurate,
-    Realm { m: u32, t: u32 },
-    Calm,
-    Drum { k: u32 },
-    Mbm { t: u32 },
-    ScaleTrim { t: u32, c: bool },
-    Ilm { i: u32 },
-}
-
-/// One characterizable design: its spec-grammar text plus its netlist
-/// recipe.
-#[derive(Debug, Clone)]
-struct ZooDesign {
-    text: String,
-    kind: ZooKind,
-}
-
-impl ZooDesign {
-    fn netlist(&self) -> Result<Netlist, QosError> {
-        Ok(match self.kind {
-            ZooKind::Accurate => wallace16(),
-            ZooKind::Realm { m, t } => realm_netlist(&realm16(m, t)?),
-            ZooKind::Calm => calm_netlist(16),
-            ZooKind::Drum { k } => drum_netlist(16, k),
-            ZooKind::Mbm { t } => mbm_netlist(16, t),
-            ZooKind::ScaleTrim { t, c } => scaletrim_netlist(16, t, c),
-            ZooKind::Ilm { i } => ilm_netlist(16, i),
-        })
-    }
-}
-
-/// Builds a width-16 REALM, mapping config errors to [`QosError`].
-fn realm16(m: u32, t: u32) -> Result<Realm, QosError> {
-    Realm::new(RealmConfig::new(16, m, t, 6))
-        .map_err(|e| QosError::Design(format!("realm m={m} t={t}: {e}")))
-}
-
-/// The design zoo the characterization pass walks: the REALM `(M, t)`
-/// grid (invalid combinations are skipped) plus the log-family
-/// baselines and the accurate anchor. Order is the table order and part
-/// of the fingerprint.
-fn zoo() -> Vec<ZooDesign> {
-    let mut designs = vec![ZooDesign {
-        text: "accurate".into(),
-        kind: ZooKind::Accurate,
-    }];
-    for m in [4u32, 8, 16] {
-        for t in [0u32, 3, 6, 9] {
-            if Realm::new(RealmConfig::new(16, m, t, 6)).is_ok() {
-                designs.push(ZooDesign {
-                    text: format!("realm:m={m},t={t}"),
-                    kind: ZooKind::Realm { m, t },
-                });
-            }
-        }
-    }
-    designs.push(ZooDesign {
-        text: "calm".into(),
-        kind: ZooKind::Calm,
-    });
-    for k in [4u32, 6] {
-        designs.push(ZooDesign {
-            text: format!("drum:k={k}"),
-            kind: ZooKind::Drum { k },
-        });
-    }
-    for t in [0u32, 4] {
-        designs.push(ZooDesign {
-            text: format!("mbm:t={t}"),
-            kind: ZooKind::Mbm { t },
-        });
-    }
-    // Post-paper comparators, appended last so the earlier table order
-    // (and any external notes keyed on it) survives the extension.
-    for t in [4u32, 6] {
-        designs.push(ZooDesign {
-            text: format!("scaletrim:t={t},c=1"),
-            kind: ZooKind::ScaleTrim { t, c: true },
-        });
-    }
-    for i in [1u32, 2] {
-        designs.push(ZooDesign {
-            text: format!("ilm:i={i}"),
-            kind: ZooKind::Ilm { i },
-        });
-    }
-    designs
-}
-
-/// The design texts the characterization pass covers, in table order.
+/// The design zoo the characterization pass walks, as spec texts in
+/// table order: the accurate anchor, the REALM `(M, t)` grid, the
+/// log-family baselines and the post-paper comparators (appended last,
+/// so the earlier table order survives the extension). The texts are
+/// part of the fingerprint byte for byte.
 pub fn zoo_designs() -> Vec<String> {
-    zoo().into_iter().map(|d| d.text).collect()
+    let mut texts = vec!["accurate".to_string()];
+    for m in [4, 8, 16] {
+        texts.extend([0, 3, 6, 9].map(|t| format!("realm:m={m},t={t}")));
+    }
+    texts.push("calm".into());
+    texts.extend([4, 6].map(|k| format!("drum:k={k}")));
+    texts.extend([0, 4].map(|t| format!("mbm:t={t}")));
+    texts.extend([4, 6].map(|t| format!("scaletrim:t={t},c=1")));
+    texts.extend([1, 2].map(|i| format!("ilm:i={i}")));
+    texts
 }
 
 /// One characterized design: the controller's unit of choice.
@@ -239,20 +156,21 @@ impl QosTable {
     pub fn characterize(cfg: &TableConfig) -> Result<QosTable, QosError> {
         let reporter = Reporter::paper_setup(cfg.cycles, cfg.seed);
         let mut entries = Vec::new();
-        for zd in zoo() {
-            let design = parse_design(&zd.text)
-                .map_err(|e| QosError::Design(format!("{}: {e}", zd.text)))?;
+        for text in zoo_designs() {
+            let invalid = |e: &dyn std::fmt::Display| QosError::Design(format!("{text}: {e}"));
+            let spec = DesignSpec::parse(&text).map_err(|e| invalid(&e))?;
+            let design = spec.build().map_err(|e| invalid(&e))?;
             let errors = MonteCarlo::new(cfg.samples, cfg.seed)
                 .with_threads(cfg.threads)
                 .characterize(design.as_ref());
             let distance =
                 distance_metrics_threaded(design.as_ref(), cfg.samples, cfg.seed, cfg.threads);
-            let report = reporter.report(&zd.netlist()?);
+            let report = reporter.report(&netlist(&spec));
             let cost = 0.5
                 * (report.area_um2 / PAPER_ACCURATE_AREA_UM2
                     + report.power_uw / PAPER_ACCURATE_POWER_UW);
             entries.push(QosEntry {
-                design: zd.text,
+                design: text,
                 mean_error: errors.mean_error,
                 nmed: distance.nmed,
                 peak_error: errors.peak_error(),

@@ -91,6 +91,25 @@ fn invalid_submissions_and_unknown_resources_are_4xx() {
             r#"{"design":"accurate","samples":0}"#,
             "samples must be > 0",
         ),
+        // Widths the design cannot build: rejected at admission, and
+        // the acceptor that parsed them lives on to serve the requests
+        // below (the default is four acceptors).
+        (
+            r#"{"design":"accurate@0","samples":10}"#,
+            "invalid design configuration",
+        ),
+        (
+            r#"{"design":"accurate@65","samples":10}"#,
+            "invalid design configuration",
+        ),
+        (
+            r#"{"design":"calm@3","samples":10}"#,
+            "invalid design configuration",
+        ),
+        (
+            r#"{"design":"implm@33","samples":10}"#,
+            "invalid design configuration",
+        ),
     ] {
         let (status, reply) = submit(&server, body);
         assert_eq!(status, 400, "{body} -> {reply}");

@@ -28,8 +28,11 @@ pub use log_family::{
     realm_netlist_staged,
 };
 
-use realm_core::Multiplier;
+use realm_baselines::catalog::{self, DesignSpec};
+use realm_baselines::{AlmAdder, AmRecovery, IntAlp};
+use realm_core::{Multiplier, Realm};
 
+use crate::blocks::multiplier::wallace_netlist;
 use crate::netlist::Netlist;
 
 /// A Table I row: the behavioural model paired with its gate-level
@@ -41,118 +44,53 @@ pub struct DesignPair {
     pub netlist: Netlist,
 }
 
-/// Builds the behavioural-model + netlist pair for every design and
-/// configuration in Table I, in the table's row order (REALM rows first).
+/// The gate-level netlist of a design point, from its family's
+/// generator.
 ///
-/// Construction is total: an invalid design point (impossible for the
-/// paper's own configurations) would drop its row, which the Table I
-/// row-count tests catch.
-pub fn table1_pairs() -> Vec<DesignPair> {
-    use realm_baselines::adders::LowerPart;
-    use realm_baselines::{
-        Alm, AlmAdder, Am, AmRecovery, Calm, Drum, Essm8, Ilm, ImpLm, IntAlp, Mbm, ScaleTrim, Ssm,
-    };
-    use realm_core::{Realm, RealmConfig};
+/// # Panics
+///
+/// On a spec whose [`DesignSpec::build`] fails, and on the few buildable
+/// points a generator does not cover (`mbm_netlist(8, t ≥ 2)`, REALM
+/// with `7 − t < q`). Every slate row has a netlist.
+pub fn netlist(spec: &DesignSpec) -> Netlist {
+    match *spec {
+        DesignSpec::Accurate { w } => wallace_netlist(w),
+        DesignSpec::Realm(config) => match Realm::new(config) {
+            Ok(realm) => realm_netlist(&realm),
+            Err(e) => panic!("no netlist for invalid design {spec}: {e}"),
+        },
+        DesignSpec::Calm { w } => calm_netlist(w),
+        DesignSpec::AlmMaa { w, m } => alm_netlist(w, AlmAdder::Maa.lower_part(), m),
+        DesignSpec::AlmSoa { w, m } => alm_netlist(w, AlmAdder::Soa.lower_part(), m),
+        DesignSpec::ImpLm { w } => implm_netlist(w),
+        DesignSpec::Mbm { w, t } => mbm_netlist(w, t),
+        DesignSpec::Am1 { w, nb } => am_netlist(w, AmRecovery::Or, nb),
+        DesignSpec::Am2 { w, nb } => am_netlist(w, AmRecovery::Sum, nb),
+        DesignSpec::IntAlp { w, l } => match IntAlp::new(w, l) {
+            Ok(intalp) => intalp_netlist(&intalp),
+            Err(e) => panic!("no netlist for invalid design {spec}: {e}"),
+        },
+        DesignSpec::Drum { w, k } => drum_netlist(w, k),
+        DesignSpec::Ssm { w, s } => ssm_netlist(w, s),
+        DesignSpec::Essm8 { .. } => essm8_netlist(),
+        DesignSpec::ScaleTrim { w, t, c } => scaletrim_netlist(w, t, c),
+        DesignSpec::Ilm { w, i } => ilm_netlist(w, i),
+        DesignSpec::Kulkarni { w } => kulkarni_netlist(w),
+    }
+}
 
-    let mut pairs: Vec<DesignPair> = Vec::new();
-    for m in [16u32, 8, 4] {
-        for t in 0..=9u32 {
-            // Paper design points are valid by construction; a miss
-            // would drop the row and fail the Table I row-count tests.
-            let Ok(realm) = Realm::new(RealmConfig::n16(m, t)) else {
-                continue;
-            };
-            let netlist = realm_netlist(&realm);
-            pairs.push(DesignPair {
-                model: Box::new(realm),
-                netlist,
-            });
-        }
-    }
-    pairs.push(DesignPair {
-        model: Box::new(Calm::new(16)),
-        netlist: calm_netlist(16),
-    });
-    pairs.push(DesignPair {
-        model: Box::new(ImpLm::new(16)),
-        netlist: implm_netlist(16),
-    });
-    for t in [0u32, 2, 4, 6, 8, 9] {
-        let Ok(mbm) = Mbm::new(16, t) else { continue };
-        pairs.push(DesignPair {
-            model: Box::new(mbm),
-            netlist: mbm_netlist(16, t),
-        });
-    }
-    for (adder, lower) in [
-        (AlmAdder::Maa, LowerPart::Or),
-        (AlmAdder::Soa, LowerPart::SetOne),
-    ] {
-        for m in [3u32, 6, 9, 11, 12] {
-            pairs.push(DesignPair {
-                model: Box::new(Alm::new(16, adder, m)),
-                netlist: alm_netlist(16, lower, m),
-            });
-        }
-    }
-    for level in [2u32, 1] {
-        let Ok(model) = IntAlp::new(16, level) else {
-            continue;
-        };
-        let netlist = intalp_netlist(&model);
-        pairs.push(DesignPair {
-            model: Box::new(model),
-            netlist,
-        });
-    }
-    for recovery in [AmRecovery::Or, AmRecovery::Sum] {
-        for nb in [13u32, 9, 5] {
-            let Ok(am) = Am::new(16, recovery, nb) else {
-                continue;
-            };
-            pairs.push(DesignPair {
-                model: Box::new(am),
-                netlist: am_netlist(16, recovery, nb),
-            });
-        }
-    }
-    for k in [8u32, 7, 6, 5, 4] {
-        let Ok(drum) = Drum::new(16, k) else { continue };
-        pairs.push(DesignPair {
-            model: Box::new(drum),
-            netlist: drum_netlist(16, k),
-        });
-    }
-    for m in [10u32, 9, 8] {
-        let Ok(ssm) = Ssm::new(16, m) else { continue };
-        pairs.push(DesignPair {
-            model: Box::new(ssm),
-            netlist: ssm_netlist(16, m),
-        });
-    }
-    pairs.push(DesignPair {
-        model: Box::new(Essm8::new()),
-        netlist: essm8_netlist(),
-    });
-    // Post-paper comparators, appended after every Table I row so the
-    // pinned pre-refactor goldens keep their positions.
-    for (t, c) in [(4u32, true), (6, true)] {
-        let Ok(st) = ScaleTrim::new(16, t, c) else {
-            continue;
-        };
-        pairs.push(DesignPair {
-            model: Box::new(st),
-            netlist: scaletrim_netlist(16, t, c),
-        });
-    }
-    for i in [1u32, 2] {
-        let Ok(ilm) = Ilm::new(16, i) else { continue };
-        pairs.push(DesignPair {
-            model: Box::new(ilm),
-            netlist: ilm_netlist(16, i),
-        });
-    }
-    pairs
+/// The behavioural-model + netlist pair of every Table I row
+/// ([`catalog::table1`]), in the table's row order.
+pub fn table1_pairs() -> Vec<DesignPair> {
+    catalog::table1()
+        .iter()
+        .filter_map(|spec| {
+            Some(DesignPair {
+                model: spec.build().ok()?,
+                netlist: netlist(spec),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
