@@ -196,7 +196,7 @@ fn measure_scaling(
 fn bench_netlist_eval() {
     let realm = Realm::new(RealmConfig::n16(16, 0)).or_die("paper design point");
     let netlists = vec![
-        realm_synth::designs::wallace16(),
+        realm_synth::blocks::multiplier::wallace_netlist(16),
         realm_synth::designs::calm_netlist(16),
         realm_synth::designs::realm_netlist(&realm),
     ];

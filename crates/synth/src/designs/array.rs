@@ -1,18 +1,13 @@
-//! Netlists for the array-style designs: the accurate Wallace reference
-//! and AM1/AM2 (carry-free accumulation with error-vector recovery).
+//! Netlist for the array-style AM1/AM2 designs (carry-free accumulation
+//! with error-vector recovery). The accurate reference is
+//! [`crate::blocks::multiplier::wallace_netlist`].
 
 use realm_baselines::AmRecovery;
 
 use crate::blocks::adder::ripple_add;
 use crate::blocks::logic::resize;
-use crate::blocks::multiplier::{compress_columns, wallace_netlist};
+use crate::blocks::multiplier::compress_columns;
 use crate::netlist::{Net, Netlist};
-
-/// The paper's accurate reference design: a 16-bit Wallace-tree
-/// multiplier.
-pub fn wallace16() -> Netlist {
-    wallace_netlist(16)
-}
 
 /// Netlist for AM1/AM2: sequential carry-free (XOR) accumulation of the
 /// partial products with per-stage error vectors (`AND` of the addends),

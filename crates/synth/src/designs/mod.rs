@@ -16,7 +16,7 @@ mod intalp;
 mod kulkarni;
 mod log_family;
 
-pub use array::{am_netlist, wallace16};
+pub use array::am_netlist;
 pub use comparators::{ilm_netlist, scaletrim_netlist};
 pub use configurable::configurable_realm_netlist;
 pub use divider::{mitchell_divider_netlist, realm_divider_netlist};
@@ -91,6 +91,21 @@ pub fn table1_pairs() -> Vec<DesignPair> {
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use realm_baselines::catalog::FAMILIES;
+
+    #[test]
+    fn every_family_default_has_a_netlist_equal_to_its_model() {
+        for family in FAMILIES {
+            let spec = DesignSpec::parse(family.name).unwrap();
+            let model = spec.build().unwrap();
+            verify::assert_equivalent(model.as_ref(), &netlist(&spec), 64);
+        }
+    }
 }
 
 #[cfg(test)]

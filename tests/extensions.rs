@@ -8,7 +8,8 @@ use realm::divider::{MitchellDivider, RealmDivider};
 use realm::float::{ApproxFloat, FloatFormat};
 use realm::metrics::MonteCarlo;
 use realm::mse::mse_table;
-use realm::synth::designs::{realm_divider_netlist, realm_netlist, wallace16};
+use realm::synth::blocks::multiplier::wallace_netlist;
+use realm::synth::designs::{realm_divider_netlist, realm_netlist};
 use realm::synth::equiv::check_equivalence;
 use realm::synth::faults::{sample_faults, simulate_fault};
 use realm::synth::verilog::to_verilog;
@@ -133,7 +134,7 @@ fn equivalence_checker_distinguishes_m_configurations() {
 
 #[test]
 fn fault_injection_runs_on_the_reference_multiplier() {
-    let nl = wallace16();
+    let nl = wallace_netlist(16);
     for fault in sample_faults(&nl, 5, 77) {
         let impact = simulate_fault(&nl, fault, 60, 3);
         assert!((0.0..=1.0).contains(&impact.detection_rate));
