@@ -19,7 +19,7 @@ use DesignSpec as D;
 
 /// One design point: a family and its parameters, each field named
 /// after the family's grammar key (`w` is the operand width).
-#[allow(missing_docs)] // fields are the grammar keys, documented in `FAMILIES`
+#[allow(missing_docs)] // each field is a grammar key, named in its variant's doc
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignSpec {
     /// The exact reference multiplier (`accurate`).
@@ -79,23 +79,34 @@ const W: (&str, u32) = ("w", 16);
 
 /// The family table: every design name of the grammar, its keys and
 /// their defaults.
-#[rustfmt::skip]
 pub const FAMILIES: &[Family] = &[
     family("accurate", &[W], |v| Ok(D::Accurate { w: v[0] })),
-    family("realm", &[W, ("m", 16), ("t", 0), ("q", 6)], |v| Ok(D::Realm(RealmConfig::new(v[0], v[1], v[2], v[3])))),
+    family("realm", &[W, ("m", 16), ("t", 0), ("q", 6)], |v| {
+        Ok(D::Realm(RealmConfig::new(v[0], v[1], v[2], v[3])))
+    }),
     family("calm", &[W], |v| Ok(D::Calm { w: v[0] })),
-    family("alm-maa", &[W, ("m", 11)], |v| Ok(D::AlmMaa { w: v[0], m: v[1] })),
-    family("alm-soa", &[W, ("m", 11)], |v| Ok(D::AlmSoa { w: v[0], m: v[1] })),
+    family("alm-maa", &[W, ("m", 11)], |v| {
+        Ok(D::AlmMaa { w: v[0], m: v[1] })
+    }),
+    family("alm-soa", &[W, ("m", 11)], |v| {
+        Ok(D::AlmSoa { w: v[0], m: v[1] })
+    }),
     family("implm", &[W], |v| Ok(D::ImpLm { w: v[0] })),
     family("mbm", &[W, ("t", 0)], |v| Ok(D::Mbm { w: v[0], t: v[1] })),
     family("am1", &[W, ("nb", 9)], |v| Ok(D::Am1 { w: v[0], nb: v[1] })),
     family("am2", &[W, ("nb", 9)], |v| Ok(D::Am2 { w: v[0], nb: v[1] })),
-    family("intalp", &[W, ("l", 1)], |v| Ok(D::IntAlp { w: v[0], l: v[1] })),
+    family("intalp", &[W, ("l", 1)], |v| {
+        Ok(D::IntAlp { w: v[0], l: v[1] })
+    }),
     family("drum", &[W, ("k", 6)], |v| Ok(D::Drum { w: v[0], k: v[1] })),
     family("ssm", &[W, ("s", 8)], |v| Ok(D::Ssm { w: v[0], s: v[1] })),
     family("essm8", &[W], |v| Ok(D::Essm8 { w: v[0] })),
     family("scaletrim", &[W, ("t", 4), ("c", 1)], |v| match v[2] {
-        c @ (0 | 1) => Ok(D::ScaleTrim { w: v[0], t: v[1], c: c == 1 }),
+        c @ (0 | 1) => Ok(D::ScaleTrim {
+            w: v[0],
+            t: v[1],
+            c: c == 1,
+        }),
         c => Err(format!("'c={c}' must be 0 or 1")),
     }),
     family("ilm", &[W, ("i", 2)], |v| Ok(D::Ilm { w: v[0], i: v[1] })),
@@ -149,10 +160,11 @@ fn alm(w: u32, adder: AlmAdder, m: u32) -> Result<Alm, ConfigError> {
 /// `width` if `widths` holds it, else the error a constructor asserting
 /// that range would have panicked on.
 fn width_in(widths: RangeInclusive<u32>, width: u32) -> Result<u32, ConfigError> {
-    let supported = widths.contains(&width);
-    supported
-        .then_some(width)
-        .ok_or(ConfigError::UnsupportedWidth { width })
+    if widths.contains(&width) {
+        Ok(width)
+    } else {
+        Err(ConfigError::UnsupportedWidth { width })
+    }
 }
 
 impl DesignSpec {
@@ -186,48 +198,38 @@ impl DesignSpec {
             None => (head, None),
         };
         let name = name.trim().to_ascii_lowercase();
-        let mut params = Vec::new();
+        let Some(family) = FAMILIES.iter().find(|family| family.name == name) else {
+            return Err(ParseError::UnknownDesign(name));
+        };
+        // Defaults, overwritten by each key in turn (the last one wins).
+        let mut values: Vec<u32> = family.keys.iter().map(|&(_, default)| default).collect();
         let pairs = param_text.split(',').map(str::trim);
         for kv in pairs.filter(|kv| !kv.is_empty()) {
             let (key, value) = kv
                 .split_once('=')
                 .ok_or_else(|| bad(format!("expected key=value, got '{kv}'")))?;
-            let value: u64 = value
-                .trim()
-                .parse()
-                .map_err(|_| bad(format!("'{}' is not an unsigned integer", value.trim())))?;
-            params.push((key.trim().to_ascii_lowercase(), value));
-        }
-
-        let Some(family) = FAMILIES.iter().find(|family| family.name == name) else {
-            return Err(ParseError::UnknownDesign(name));
-        };
-        let accepts = |key: &str| family.keys.iter().any(|&(k, _)| k == key);
-        if let Some((key, _)) = params.iter().find(|(key, _)| !accepts(key)) {
-            let allowed: Vec<&str> = family.keys.iter().map(|&(k, _)| k).collect();
-            return Err(bad(format!(
-                "'{name}' does not accept key '{key}' (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
-        if let Some(width) = at_width {
-            let width: u32 = width
-                .parse()
-                .map_err(|_| bad(format!("'@{width}' is not an unsigned operand width")))?;
-            if params.iter().any(|(key, _)| key == "w") {
+            let key = key.trim().to_ascii_lowercase();
+            let Some(slot) = family.keys.iter().position(|&(k, _)| k == key) else {
+                let allowed: Vec<&str> = family.keys.iter().map(|&(k, _)| k).collect();
+                return Err(bad(format!(
+                    "'{name}' does not accept key '{key}' (allowed: {})",
+                    allowed.join(", ")
+                )));
+            };
+            if slot == 0 && at_width.is_some() {
                 return Err(bad(
                     "operand width given both as '@W' suffix and 'w=' key".into()
                 ));
             }
-            params.push(("w".into(), width.into()));
+            let value = value.trim();
+            values[slot] = value
+                .parse()
+                .map_err(|_| bad(format!("'{value}' is not an unsigned 32-bit integer")))?;
         }
-        let mut values = Vec::with_capacity(family.keys.len());
-        for &(key, default) in family.keys {
-            values.push(match params.iter().rev().find(|(k, _)| k == key) {
-                None => default,
-                Some(&(_, v)) => u32::try_from(v)
-                    .map_err(|_| bad(format!("'{key}={v}' does not fit in 32 bits")))?,
-            });
+        if let Some(width) = at_width {
+            values[0] = width
+                .parse()
+                .map_err(|_| bad(format!("'@{width}' is not an unsigned operand width")))?;
         }
         (family.make)(&values).map_err(bad)
     }
@@ -441,9 +443,9 @@ mod tests {
     }
 
     /// Every name × a width list × the same values for each key: every
-    /// text either fails to parse, fails to build or builds, and none
-    /// panics. The texts listed at the end used to reach a constructor
-    /// assert.
+    /// text either fails to parse, fails to build or builds a design that
+    /// multiplies, and none panics. The texts listed at the end used to
+    /// reach a constructor assert.
     #[test]
     fn the_grammar_is_total_over_a_width_and_key_sweep() {
         let mut values: Vec<u64> = (0..=10).collect();
@@ -458,9 +460,12 @@ mod tests {
                     texts.extend(values.iter().map(|v| format!("{base}:{key}={v}")));
                 }
                 for text in texts {
-                    if let Ok(spec) = DesignSpec::parse(&text) {
-                        built += usize::from(spec.build().is_ok());
-                    }
+                    let Ok(Ok(design)) = DesignSpec::parse(&text).map(|spec| spec.build()) else {
+                        continue;
+                    };
+                    let max = u64::MAX >> (64 - design.width());
+                    let _ = (design.multiply(1, 1), design.multiply_wide(max, max));
+                    built += 1;
                 }
             }
         }
@@ -493,14 +498,21 @@ mod tests {
 
     #[test]
     fn bad_texts_are_parse_errors() {
-        assert!(matches!(
-            DesignSpec::parse("booth"),
-            Err(ParseError::UnknownDesign(_))
-        ));
+        for text in ["booth", "", "@16", ":m=4"] {
+            assert!(
+                matches!(DesignSpec::parse(text), Err(ParseError::UnknownDesign(_))),
+                "{text:?}"
+            );
+        }
         for text in [
             "realm:z=3",
             "realm:m",
+            "realm:=5",
+            "realm:m=",
+            "realm:m=4294967296",
             "calm@x",
+            "calm@",
+            "calm@16@8",
             "realm@16:w=16",
             "scaletrim:c=2",
         ] {
