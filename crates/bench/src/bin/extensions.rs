@@ -28,8 +28,7 @@ use realm_dsp::fir::{output_snr, FirFilter};
 use realm_dsp::mlp::{dataset, Mlp};
 use realm_jpeg::{psnr, Image};
 use realm_metrics::breakdown::interval_mean_spread;
-use realm_metrics::nmed::distance_metrics_supervised;
-use realm_metrics::{characterize_by_interval_supervised, MonteCarlo};
+use realm_metrics::{BreakdownWorkload, DistanceWorkload, Engine, MonteCarlo};
 
 fn main() {
     let mut opts = Options::from_env();
@@ -85,10 +84,8 @@ fn main() {
     for design in &reps {
         use realm_core::multiplier::MultiplierExt;
         let sup = driver.run("distance campaign", || {
-            distance_metrics_supervised(
-                design.as_ref(),
-                opts.samples.min(1 << 21),
-                opts.seed,
+            Engine::supervised(
+                &DistanceWorkload::new(design.as_ref(), opts.samples.min(1 << 21), opts.seed),
                 driver.supervisor(),
             )
         });
@@ -109,10 +106,8 @@ fn main() {
         ("SSM m=8", &ssm as &dyn Multiplier),
     ] {
         let sup = driver.run("breakdown campaign", || {
-            characterize_by_interval_supervised(
-                design,
-                opts.samples.min(1 << 21),
-                opts.seed,
+            Engine::supervised(
+                &BreakdownWorkload::new(design, opts.samples.min(1 << 21), opts.seed),
                 driver.supervisor(),
             )
         });

@@ -19,7 +19,7 @@ use realm_dsp::fir::{output_snr, FirFilter};
 use realm_fault::{Fault, FaultPlan, FaultSite, FaultyMultiplier, Guarded, Operand, SiteClass};
 use realm_jpeg::{psnr, Image, JpegCodec};
 use realm_metrics::faults::{summarize_by_class, ClassSummary, FaultCampaign};
-use realm_metrics::Supervisor;
+use realm_metrics::{Engine, Supervisor};
 use realm_synth::designs::realm_netlist_staged;
 use realm_synth::faults::{stage_sensitivity, StageImpact};
 
@@ -124,12 +124,26 @@ fn gate_level_campaign(opts: &Options, faults_per_stage: usize, vectors: u32) ->
     impacts
 }
 
-fn degradation_curve(opts: &Options, samples: u64) {
+fn degradation_curve(driver: &Driver, samples: u64) {
+    let opts = &driver.opts;
     let design = realm16();
-    let campaign = FaultCampaign::new(samples, opts.seed).with_threads(opts.threads);
+    let campaign = FaultCampaign::new(samples, opts.seed);
     let site = FaultSite::ShiftAmount { bit: 4 };
-    let probabilities = [1e-4, 1e-3, 1e-2, 1e-1];
-    let points = campaign.transient_curve(&design, site, &probabilities);
+    // Every point runs before the table prints, so an interrupted curve
+    // leaves its resume report and no half table.
+    let points: Vec<(f64, _)> = [1e-4, 1e-3, 1e-2, 1e-1]
+        .into_iter()
+        .map(|probability| {
+            let fault = Fault::transient(site, probability);
+            let sup = driver.run("transient campaign", || {
+                Engine::supervised(&campaign.workload(&design, fault), driver.supervisor())
+            });
+            (
+                probability,
+                driver.require_complete("transient campaign", sup),
+            )
+        })
+        .collect();
 
     println!("\ntransient degradation curve — REALM16/t=0, flips on {site}");
     println!(
@@ -138,11 +152,10 @@ fn degradation_curve(opts: &Options, samples: u64) {
     );
     let mut csv =
         String::from("probability,nmed_faulty,nmed_guarded,detection_rate,fallback_rate\n");
-    for p in &points {
-        let r = &p.report;
+    for (probability, r) in &points {
         println!(
             "  {:>10.0e} {:>12.3e} {:>12.3e} {:>9.1}% {:>9.2}%",
-            p.probability,
+            probability,
             r.nmed_faulty,
             r.nmed_guarded,
             r.detection_rate * 100.0,
@@ -150,7 +163,7 @@ fn degradation_curve(opts: &Options, samples: u64) {
         );
         csv.push_str(&format!(
             "{:e},{:.6e},{:.6e},{:.6},{:.6}\n",
-            p.probability, r.nmed_faulty, r.nmed_guarded, r.detection_rate, r.fallback_rate
+            probability, r.nmed_faulty, r.nmed_guarded, r.detection_rate, r.fallback_rate
         ));
     }
     opts.write_csv("faults_transient_curve.csv", &csv);
@@ -248,7 +261,7 @@ fn main() {
     println!("  functional : {f_top:<16} (MRE {f_mre:.2})");
     println!("  gate-level : {g_top:<16} (MRE {g_mre:.2})");
 
-    degradation_curve(opts, opts.samples);
+    degradation_curve(&driver, opts.samples);
     application_impact(opts);
     driver.finish();
 

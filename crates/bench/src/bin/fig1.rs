@@ -15,7 +15,7 @@ use realm_baselines::{Alm, AlmAdder, Calm, ImpLm, IntAlp, Mbm};
 use realm_bench::{Driver, OrDie};
 use realm_core::{Multiplier, Realm, RealmConfig};
 use realm_metrics::heatmap::render_heatmap;
-use realm_metrics::{characterize_range_supervised, error_profile_supervised};
+use realm_metrics::{Engine, ProfileWorkload, RangeWorkload};
 
 fn main() {
     let driver = Driver::from_env();
@@ -44,7 +44,10 @@ fn main() {
     );
     for (panel, design) in &designs {
         let sup = driver.run("error-profile campaign", || {
-            characterize_range_supervised(design.as_ref(), 32..=255, 32..=255, driver.supervisor())
+            Engine::supervised(
+                &RangeWorkload::new(design.as_ref(), 32..=255, 32..=255),
+                driver.supervisor(),
+            )
         });
         let s = driver.require_complete(&format!("{panel} campaign"), sup);
         println!(
@@ -57,7 +60,10 @@ fn main() {
         );
         if driver.opts.out_dir.is_some() {
             let profile = driver.run("error-profile surface", || {
-                error_profile_supervised(design.as_ref(), 32..=255, 32..=255, driver.supervisor())
+                Engine::supervised(
+                    &ProfileWorkload::new(design.as_ref(), 32..=255, 32..=255),
+                    driver.supervisor(),
+                )
             });
             let mut csv = String::from("a,b,error_pct\n");
             for p in driver.require_complete(&format!("{panel} surface"), profile) {
@@ -71,7 +77,10 @@ fn main() {
     for (panel, design) in [&designs[0], &designs[designs.len() - 1]] {
         println!("\n|error| heatmap for {panel} (x = A, y = B, 32..=255):");
         let sup = driver.run("error-profile surface", || {
-            error_profile_supervised(design.as_ref(), 32..=255, 32..=255, driver.supervisor())
+            Engine::supervised(
+                &ProfileWorkload::new(design.as_ref(), 32..=255, 32..=255),
+                driver.supervisor(),
+            )
         });
         let profile = driver.require_complete(&format!("{panel} surface"), sup);
         print!("{}", render_heatmap(&profile, 64, 20, 0.12));

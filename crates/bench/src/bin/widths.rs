@@ -15,7 +15,7 @@
 use realm_bench::{Driver, Options, OrDie};
 use realm_core::multiplier::MultiplierExt;
 use realm_core::{Realm, RealmConfig};
-use realm_metrics::{characterize_range_supervised, MonteCarlo};
+use realm_metrics::{Engine, MonteCarlo, RangeWorkload};
 
 fn main() {
     let mut opts = Options::from_env();
@@ -35,7 +35,10 @@ fn main() {
         let (method, s) = if width <= 12 {
             let max = realm.max_operand();
             let sup = driver.run("exhaustive width sweep", || {
-                characterize_range_supervised(&realm, 1..=max, 1..=max, driver.supervisor())
+                Engine::supervised(
+                    &RangeWorkload::new(&realm, 1..=max, 1..=max),
+                    driver.supervisor(),
+                )
             });
             ("exhaustive", driver.require_complete("width sweep", sup))
         } else {

@@ -8,6 +8,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use realm_obs::json_string;
+
 /// Re-exported so bench binaries keep optimizer barriers without an
 /// external dependency.
 pub use std::hint::black_box as opaque;
@@ -139,17 +141,17 @@ impl ThroughputReport {
         out.push_str("  \"schema\": \"realm-bench/throughput/v2\",\n");
         out.push_str(&format!("  \"samples\": {},\n", self.samples));
         out.push_str(&format!(
-            "  \"kernel_tier\": \"{}\",\n",
-            escape_json(&self.kernel_tier)
+            "  \"kernel_tier\": {},\n",
+            json_string(&self.kernel_tier)
         ));
         out.push_str("  \"kernels\": [");
         for (i, k) in self.kernels.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!(
-                "    {{\"design\": \"{}\", \"mode\": \"{}\", \
+                "    {{\"design\": {}, \"mode\": {}, \
                  \"ns_per_multiply\": {}, \"samples_per_sec\": {}}}",
-                escape_json(&k.design),
-                escape_json(&k.mode),
+                json_string(&k.design),
+                json_string(&k.mode),
                 json_number(k.ns_per_multiply),
                 json_number(k.samples_per_sec),
             ));
@@ -158,9 +160,9 @@ impl ThroughputReport {
         for (i, c) in self.simd.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!(
-                "    {{\"design\": \"{}\", \"scalar_multiplies_per_sec\": {}, \
+                "    {{\"design\": {}, \"scalar_multiplies_per_sec\": {}, \
                  \"simd_multiplies_per_sec\": {}, \"speedup\": {}}}",
-                escape_json(&c.design),
+                json_string(&c.design),
                 json_number(c.scalar_multiplies_per_sec),
                 json_number(c.simd_multiplies_per_sec),
                 json_number(c.speedup),
@@ -179,23 +181,6 @@ impl ThroughputReport {
         out.push_str("\n  ]\n}\n");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats an `f64` as a JSON number (JSON has no NaN/Infinity tokens, so
@@ -227,14 +212,6 @@ mod tests {
             iters_per_batch: 10,
         };
         assert!(m.render().contains('x'));
-    }
-
-    #[test]
-    fn escape_json_handles_special_characters() {
-        assert_eq!(escape_json(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape_json("line\nbreak\ttab"), "line\\nbreak\\ttab");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-        assert_eq!(escape_json("REALM16 (t=0)"), "REALM16 (t=0)");
     }
 
     #[test]

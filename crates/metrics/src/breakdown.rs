@@ -11,10 +11,9 @@
 use realm_core::multiplier::MultiplierExt;
 use realm_core::rng::SplitMix64;
 use realm_core::Multiplier;
-use realm_harness::{HarnessError, Supervised, Supervisor};
-use realm_par::{Chunk, ChunkPlan, Threads};
+use realm_par::{Chunk, ChunkPlan};
 
-use crate::engine::{Engine, Workload};
+use crate::engine::Workload;
 use crate::montecarlo::DEFAULT_CHUNK;
 use crate::summary::{ErrorAccumulator, ErrorSummary};
 
@@ -29,27 +28,16 @@ pub struct IntervalCell {
     pub summary: ErrorSummary,
 }
 
-/// [`characterize_by_interval`] with an explicit worker-thread policy.
+/// The [`Workload`] of a per-interval breakdown campaign: error
+/// statistics per power-of-two-interval pair over `samples` uniform
+/// nonzero operand pairs; cells that received no samples are omitted.
 ///
-/// Chunk `i` of the sample budget draws from `SplitMix64::stream(seed, i)`
-/// into a private grid of accumulators; the per-chunk grids are merged
-/// cell-wise in chunk order, so the breakdown is bit-identical for every
-/// policy.
-pub fn characterize_by_interval_threaded(
-    design: &dyn Multiplier,
-    samples: u64,
-    seed: u64,
-    threads: Threads,
-) -> Vec<IntervalCell> {
-    Engine::new(threads)
-        .run(&BreakdownWorkload::new(design, samples, seed))
-        .unwrap_or_default()
-}
-
-/// The [`Workload`] of a per-interval breakdown campaign: chunk `i`
-/// draws nonzero operand pairs from `SplitMix64::stream(seed, i)` into a
-/// private `width × width` grid of accumulators; grids merge cell-wise
-/// in chunk order and empty cells are dropped at finalization.
+/// Chunk `i` draws from `SplitMix64::stream(seed, i)` into a private
+/// `width × width` grid of accumulators; grids merge cell-wise in chunk
+/// order, so the breakdown is bit-identical for every thread policy
+/// and across a supervised interrupt and resume. On a partial run the
+/// cells cover the completed chunks only (`None` when no sample landed
+/// anywhere).
 #[derive(Debug, Clone, Copy)]
 pub struct BreakdownWorkload<'a> {
     design: &'a dyn Multiplier,
@@ -137,31 +125,6 @@ impl Workload for BreakdownWorkload<'_> {
     }
 }
 
-/// [`characterize_by_interval`] under a [`Supervisor`]: the breakdown's
-/// per-chunk grids are journaled, so an interrupted campaign resumes
-/// bit-identically. On a partial run the cells cover the completed
-/// chunks only (`None` when no sample landed anywhere).
-pub fn characterize_by_interval_supervised(
-    design: &dyn Multiplier,
-    samples: u64,
-    seed: u64,
-    supervisor: &Supervisor,
-) -> Result<Supervised<Vec<IntervalCell>>, HarnessError> {
-    Engine::supervised(&BreakdownWorkload::new(design, samples, seed), supervisor)
-}
-
-/// Characterizes a design per power-of-two-interval pair with `samples`
-/// uniform random operand pairs; cells that received no samples are
-/// omitted. Runs on every available hardware thread — the thread count
-/// never changes the result.
-pub fn characterize_by_interval(
-    design: &dyn Multiplier,
-    samples: u64,
-    seed: u64,
-) -> Vec<IntervalCell> {
-    characterize_by_interval_threaded(design, samples, seed, Threads::Auto)
-}
-
 /// The spread of per-interval mean errors: `(min, max)` of the cell means
 /// restricted to intervals with at least `min_k` on both axes (small
 /// intervals are dominated by output quantization) and at least
@@ -187,15 +150,19 @@ pub fn interval_mean_spread(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use realm_baselines::Ssm;
     use realm_core::{Realm, RealmConfig};
+    use realm_par::Threads;
 
     #[test]
     fn realm_error_is_interval_independent() {
         // Eq. 12: the same factors serve every interval, so the mean error
         // varies little across large intervals.
         let realm = Realm::new(RealmConfig::n16(8, 0)).expect("paper design point");
-        let cells = characterize_by_interval(&realm, 1 << 20, 11);
+        let cells = Engine::default()
+            .run(&BreakdownWorkload::new(&realm, 1 << 20, 11))
+            .unwrap_or_default();
         let (lo, hi) = interval_mean_spread(&cells, 10, 400).expect("large intervals get samples");
         assert!(
             hi / lo < 1.35,
@@ -208,7 +175,9 @@ mod tests {
         // SSM's static segmentation is exact below 2^m and truncating
         // above: the breakdown must show a strong interval dependence.
         let ssm = Ssm::new(16, 8).expect("valid configuration");
-        let cells = characterize_by_interval(&ssm, 1 << 18, 11);
+        let cells = Engine::default()
+            .run(&BreakdownWorkload::new(&ssm, 1 << 18, 11))
+            .unwrap_or_default();
         let small: Vec<&IntervalCell> = cells.iter().filter(|c| c.ka < 8 && c.kb < 8).collect();
         let large: Vec<&IntervalCell> = cells.iter().filter(|c| c.ka >= 8 && c.kb >= 8).collect();
         assert!(
@@ -224,7 +193,9 @@ mod tests {
     #[test]
     fn cells_cover_sampled_intervals() {
         let realm = Realm::new(RealmConfig::n16(4, 0)).expect("paper design point");
-        let cells = characterize_by_interval(&realm, 50_000, 3);
+        let cells = Engine::default()
+            .run(&BreakdownWorkload::new(&realm, 50_000, 3))
+            .unwrap_or_default();
         // Uniform 16-bit operands: the (15, 15) cell holds ~25 % of mass.
         let top = cells
             .iter()
@@ -238,8 +209,12 @@ mod tests {
     #[test]
     fn breakdown_is_thread_count_independent() {
         let realm = Realm::new(RealmConfig::n16(4, 1)).expect("paper design point");
-        let one = characterize_by_interval_threaded(&realm, 200_000, 9, Threads::Fixed(1));
-        let many = characterize_by_interval_threaded(&realm, 200_000, 9, Threads::Fixed(8));
+        let one = Engine::new(Threads::Fixed(1))
+            .run(&BreakdownWorkload::new(&realm, 200_000, 9))
+            .unwrap_or_default();
+        let many = Engine::new(Threads::Fixed(8))
+            .run(&BreakdownWorkload::new(&realm, 200_000, 9))
+            .unwrap_or_default();
         assert_eq!(one.len(), many.len());
         for (a, b) in one.iter().zip(&many) {
             assert_eq!((a.ka, a.kb), (b.ka, b.kb));
@@ -250,7 +225,9 @@ mod tests {
     #[test]
     fn spread_returns_none_when_filters_exclude_all() {
         let realm = Realm::new(RealmConfig::n16(4, 0)).expect("paper design point");
-        let cells = characterize_by_interval(&realm, 1_000, 3);
+        let cells = Engine::default()
+            .run(&BreakdownWorkload::new(&realm, 1_000, 3))
+            .unwrap_or_default();
         assert!(interval_mean_spread(&cells, 15, u64::MAX).is_none());
     }
 }

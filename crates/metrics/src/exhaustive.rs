@@ -11,10 +11,10 @@ use std::ops::RangeInclusive;
 
 use realm_core::multiplier::MultiplierExt;
 use realm_core::Multiplier;
-use realm_harness::{ByteReader, Checkpoint, HarnessError, Supervised, Supervisor};
-use realm_par::{Chunk, ChunkPlan, Threads};
+use realm_harness::{ByteReader, Checkpoint};
+use realm_par::{Chunk, ChunkPlan};
 
-use crate::engine::{Engine, Workload};
+use crate::engine::Workload;
 use crate::summary::{ErrorAccumulator, ErrorSummary};
 
 /// Rows per chunk for the parallel sweeps. Fixed (never derived from the
@@ -115,7 +115,21 @@ impl<'a> SweepAxes<'a> {
 
 /// The [`Workload`] of an exhaustive error-summary sweep: each chunk of
 /// rows folds into an [`ErrorAccumulator`]; the finalized output is the
-/// sweep's [`ErrorSummary`].
+/// sweep's [`ErrorSummary`] (`None` when no pair has a nonzero product).
+/// Run it with [`Engine`](crate::Engine); the summary is bit-identical
+/// for every thread policy, and a supervised sweep journals its rows
+/// chunk by chunk, so an interrupted sweep resumes bit-identically.
+///
+/// ```
+/// use realm_baselines::Calm;
+/// use realm_metrics::{Engine, RangeWorkload};
+///
+/// let s = Engine::default()
+///     .run(&RangeWorkload::new(&Calm::new(16), 32..=255, 32..=255))
+///     .unwrap_or_else(|| panic!("the ranges hold nonzero products"));
+/// assert!(s.max_error <= 0.0); // Mitchell never overestimates
+/// assert_eq!(s.samples, 224 * 224);
+/// ```
 #[derive(Debug, Clone)]
 pub struct RangeWorkload<'a> {
     axes: SweepAxes<'a>,
@@ -170,61 +184,6 @@ impl Workload for RangeWorkload<'_> {
     }
 }
 
-/// Exhaustively characterizes `design` over the cartesian product of two
-/// operand ranges, with an explicit worker-thread policy. The summary is
-/// bit-identical for every policy.
-///
-/// # Panics
-///
-/// Panics if the ranges produce no sample with a nonzero product.
-pub fn characterize_range_threaded(
-    design: &dyn Multiplier,
-    a_range: RangeInclusive<u64>,
-    b_range: RangeInclusive<u64>,
-    threads: Threads,
-) -> ErrorSummary {
-    Engine::new(threads)
-        .run(&RangeWorkload::new(design, a_range, b_range))
-        .unwrap_or_else(|| panic!("cannot summarize an empty accumulator"))
-}
-
-/// Exhaustively characterizes `design` over the cartesian product of two
-/// operand ranges on every available hardware thread.
-///
-/// ```
-/// use realm_baselines::Calm;
-/// use realm_metrics::characterize_range;
-///
-/// let s = characterize_range(&Calm::new(16), 32..=255, 32..=255);
-/// assert!(s.max_error <= 0.0); // Mitchell never overestimates
-/// assert_eq!(s.samples, 224 * 224);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the ranges produce no sample with a nonzero product.
-pub fn characterize_range(
-    design: &dyn Multiplier,
-    a_range: RangeInclusive<u64>,
-    b_range: RangeInclusive<u64>,
-) -> ErrorSummary {
-    characterize_range_threaded(design, a_range, b_range, Threads::Auto)
-}
-
-/// [`characterize_range`] under a [`Supervisor`]: the sweep's rows are
-/// journaled chunk-by-chunk, so an interrupted exhaustive sweep resumes
-/// bit-identically. The campaign identity binds the design label and
-/// both operand ranges (the seed slot carries the range bounds — the
-/// sweep itself draws no randomness).
-pub fn characterize_range_supervised(
-    design: &dyn Multiplier,
-    a_range: RangeInclusive<u64>,
-    b_range: RangeInclusive<u64>,
-    supervisor: &Supervisor,
-) -> Result<Supervised<ErrorSummary>, HarnessError> {
-    Engine::supervised(&RangeWorkload::new(design, a_range, b_range), supervisor)
-}
-
 /// One sample of an error-profile surface.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilePoint {
@@ -252,9 +211,15 @@ impl Checkpoint for ProfilePoint {
     }
 }
 
-/// The [`Workload`] of an exhaustive error-profile sweep: each chunk of
-/// rows collects its [`ProfilePoint`]s; concatenating the per-chunk
-/// vectors in chunk order restores row-major order.
+/// The [`Workload`] of an exhaustive error-profile sweep: the full
+/// relative-error surface over two operand ranges, row-major in `a` —
+/// the data behind Fig. 1 and Fig. 2 (each point is one pixel of those
+/// surface plots; zero-product pairs are skipped). Each chunk of rows
+/// collects its [`ProfilePoint`]s; concatenating the per-chunk vectors
+/// in chunk order restores row-major order, so the point list is
+/// identical for every thread policy. On a partial supervised run the
+/// points cover the completed chunks only (`None` when no chunk
+/// completed).
 #[derive(Debug, Clone)]
 pub struct ProfileWorkload<'a> {
     axes: SweepAxes<'a>,
@@ -309,56 +274,22 @@ impl Workload for ProfileWorkload<'_> {
     }
 }
 
-/// [`error_profile`] with an explicit worker-thread policy. The point list
-/// (content and order) is identical for every policy.
-pub fn error_profile_threaded(
-    design: &dyn Multiplier,
-    a_range: RangeInclusive<u64>,
-    b_range: RangeInclusive<u64>,
-    threads: Threads,
-) -> Vec<ProfilePoint> {
-    Engine::new(threads)
-        .run(&ProfileWorkload::new(design, a_range, b_range))
-        .unwrap_or_default()
-}
-
-/// [`error_profile`] under a [`Supervisor`]: the surface's rows are
-/// journaled chunk-by-chunk like every other workload, so a Fig. 1-scale
-/// profile interrupted mid-sweep resumes bit-identically. On a partial
-/// run the returned points cover the completed chunks only (`None` when
-/// no chunk completed).
-pub fn error_profile_supervised(
-    design: &dyn Multiplier,
-    a_range: RangeInclusive<u64>,
-    b_range: RangeInclusive<u64>,
-    supervisor: &Supervisor,
-) -> Result<Supervised<Vec<ProfilePoint>>, HarnessError> {
-    Engine::supervised(&ProfileWorkload::new(design, a_range, b_range), supervisor)
-}
-
-/// The full relative-error surface over two operand ranges, row-major in
-/// `a` — the data behind Fig. 1 and Fig. 2 (each returned point is one
-/// pixel of those surface plots). Zero-product pairs are skipped.
-pub fn error_profile(
-    design: &dyn Multiplier,
-    a_range: RangeInclusive<u64>,
-    b_range: RangeInclusive<u64>,
-) -> Vec<ProfilePoint> {
-    error_profile_threaded(design, a_range, b_range, Threads::Auto)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use realm_baselines::Calm;
     use realm_core::multiplier::MultiplierExt;
     use realm_core::{Accurate, Realm, RealmConfig};
+    use realm_par::Threads;
 
     #[test]
     fn fig1_range_calm_statistics() {
         // Fig. 1(a, b): the classical multiplier over {32..255} shows the
         // repeating sawtooth with errors in (−11.1 %, 0].
-        let s = characterize_range(&Calm::new(16), 32..=255, 32..=255);
+        let s = Engine::default()
+            .run(&RangeWorkload::new(&Calm::new(16), 32..=255, 32..=255))
+            .unwrap();
         assert!(s.min_error >= -0.1112 && s.min_error < -0.10);
         assert!(s.max_error <= 0.0);
     }
@@ -367,7 +298,9 @@ mod tests {
     fn fig1_range_realm16_statistics() {
         // Fig. 1(f): REALM16 over the same range: ME 0.4 %, PE ~2 %.
         let realm = Realm::new(RealmConfig::n16(16, 0)).unwrap();
-        let s = characterize_range(&realm, 32..=255, 32..=255);
+        let s = Engine::default()
+            .run(&RangeWorkload::new(&realm, 32..=255, 32..=255))
+            .unwrap();
         assert!(s.mean_error < 0.008, "mean {}", s.mean_error);
         assert!(s.peak_error() < 0.024, "peak {}", s.peak_error());
     }
@@ -375,17 +308,23 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_range_summary() {
         let realm = Realm::new(RealmConfig::n16(8, 2)).unwrap();
-        let serial = characterize_range_threaded(&realm, 1..=300, 1..=300, Threads::Fixed(1));
+        let serial =
+            Engine::new(Threads::Fixed(1)).run(&RangeWorkload::new(&realm, 1..=300, 1..=300));
         for workers in [2usize, 8] {
-            let parallel =
-                characterize_range_threaded(&realm, 1..=300, 1..=300, Threads::Fixed(workers));
+            let parallel = Engine::new(Threads::Fixed(workers)).run(&RangeWorkload::new(
+                &realm,
+                1..=300,
+                1..=300,
+            ));
             assert_eq!(serial, parallel, "workers={workers}");
         }
     }
 
     #[test]
     fn profile_covers_grid() {
-        let pts = error_profile(&Accurate::new(16), 10..=12, 20..=21);
+        let pts = Engine::default()
+            .run(&ProfileWorkload::new(&Accurate::new(16), 10..=12, 20..=21))
+            .unwrap_or_default();
         assert_eq!(pts.len(), 6);
         assert!(pts.iter().all(|p| p.error == 0.0));
         // Row-major in a.
@@ -398,7 +337,9 @@ mod tests {
     fn profile_matches_scalar_relative_error() {
         // The batched sweep must reproduce the unbatched per-pair errors.
         let realm = Realm::new(RealmConfig::n16(16, 0)).unwrap();
-        let pts = error_profile(&realm, 32..=96, 32..=96);
+        let pts = Engine::default()
+            .run(&ProfileWorkload::new(&realm, 32..=96, 32..=96))
+            .unwrap_or_default();
         assert_eq!(pts.len(), 65 * 65);
         for p in pts.iter().step_by(37) {
             let expected = realm.relative_error(p.a, p.b).expect("nonzero product");
@@ -409,14 +350,16 @@ mod tests {
     #[test]
     fn profile_order_is_thread_count_independent() {
         let calm = Calm::new(16);
-        let one = error_profile_threaded(&calm, 1..=64, 1..=16, Threads::Fixed(1));
-        let many = error_profile_threaded(&calm, 1..=64, 1..=16, Threads::Fixed(8));
+        let one = Engine::new(Threads::Fixed(1)).run(&ProfileWorkload::new(&calm, 1..=64, 1..=16));
+        let many = Engine::new(Threads::Fixed(8)).run(&ProfileWorkload::new(&calm, 1..=64, 1..=16));
         assert_eq!(one, many);
     }
 
     #[test]
     fn zero_products_skipped() {
-        let pts = error_profile(&Accurate::new(16), 0..=1, 0..=1);
+        let pts = Engine::default()
+            .run(&ProfileWorkload::new(&Accurate::new(16), 0..=1, 0..=1))
+            .unwrap_or_default();
         assert_eq!(pts.len(), 1); // only (1, 1) has a nonzero product
     }
 }

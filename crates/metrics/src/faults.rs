@@ -15,10 +15,9 @@
 
 use crate::engine::{campaign_id, Engine, Workload};
 use crate::montecarlo::DEFAULT_CHUNK;
-use crate::nmed::DistanceSummary;
 use realm_core::multiplier::MultiplierExt;
 use realm_core::rng::SplitMix64;
-use realm_fault::{plausible_product, Fault, FaultSite, FaultTarget, Injector, SiteClass};
+use realm_fault::{plausible_product, Fault, FaultTarget, Injector, SiteClass};
 use realm_harness::{ByteReader, CampaignId, Checkpoint, HarnessError, Supervised, Supervisor};
 use realm_par::{Chunk, ChunkPlan, Threads};
 use std::fmt;
@@ -192,15 +191,6 @@ impl fmt::Display for ClassSummary {
     }
 }
 
-/// One point of a transient-fault degradation curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransientPoint {
-    /// Per-operation flip probability injected.
-    pub probability: f64,
-    /// The campaign statistics at that probability.
-    pub report: SiteReport,
-}
-
 impl FaultCampaign {
     /// A campaign drawing `samples` uniform operand pairs with the given
     /// seed, on every available hardware thread ([`Threads::Auto`]).
@@ -229,8 +219,13 @@ impl FaultCampaign {
         self
     }
 
-    /// The campaign's [`Workload`] for one design × fault combination —
-    /// the engine-facing description every entry point below drives.
+    /// The campaign's [`Workload`] for one design × fault combination:
+    /// run it plain with [`Engine::run`] or supervised (checkpoint and
+    /// resume, panic quarantine, deadlines, cancellation) with
+    /// [`Engine::supervised`]. A complete supervised run is
+    /// bit-identical to the plain report; a partial run normalizes by —
+    /// and reports — the samples actually covered (`None` if no chunk
+    /// completed).
     pub fn workload<'a>(&self, design: &'a dyn FaultTarget, fault: Fault) -> FaultWorkload<'a> {
         FaultWorkload {
             campaign: *self,
@@ -279,26 +274,14 @@ impl FaultCampaign {
         campaign_id(&self.workload(design, fault))
     }
 
-    /// [`characterize`](Self::characterize) under a [`Supervisor`]:
-    /// checkpoint/resume, panic quarantine, deadlines and cancellation.
-    /// A complete run is bit-identical to the unsupervised report; a
-    /// partial run normalizes by — and reports — the samples actually
-    /// covered (`None` if no chunk completed).
-    pub fn characterize_supervised(
-        &self,
-        design: &dyn FaultTarget,
-        fault: Fault,
-        supervisor: &Supervisor,
-    ) -> Result<Supervised<SiteReport>, HarnessError> {
-        Engine::supervised(&self.workload(design, fault), supervisor)
-    }
-
-    /// [`stuck_at_sweep`](Self::stuck_at_sweep) under a [`Supervisor`]:
-    /// every per-fault campaign is journaled separately (one file per
-    /// fault), so a sweep interrupted between — or within — faults
-    /// resumes where it stopped. Faults whose campaign was interrupted
-    /// or fully quarantined are omitted from the returned list; the
-    /// reports that are present are exact.
+    /// Exhaustive permanent-fault sweep under a [`Supervisor`]: one
+    /// stuck-at-0 and one stuck-at-1 campaign per fault site of the
+    /// design, in site order. Every per-fault campaign is journaled
+    /// separately (one file per fault), so a sweep interrupted between
+    /// — or within — faults resumes where it stopped; a deadline or
+    /// cancellation stops the whole sweep. Faults whose campaign was
+    /// interrupted or fully quarantined are omitted from the returned
+    /// list; the reports that are present are exact.
     pub fn stuck_at_sweep_supervised(
         &self,
         design: &dyn FaultTarget,
@@ -309,7 +292,7 @@ impl FaultCampaign {
         for site in design.fault_sites() {
             for value in [false, true] {
                 let fault = Fault::stuck_at(site, value);
-                let sup = self.characterize_supervised(design, fault, supervisor)?;
+                let sup = Engine::supervised(&self.workload(design, fault), supervisor)?;
                 if let (true, Some(report)) = (sup.report.is_complete(), sup.value) {
                     reports.push(report);
                 }
@@ -341,41 +324,6 @@ impl FaultCampaign {
             value: (!reports.is_empty()).then_some(reports),
             report,
         })
-    }
-
-    /// Exhaustive permanent-fault sweep: one stuck-at-0 and one
-    /// stuck-at-1 campaign per fault site of the design.
-    pub fn stuck_at_sweep(&self, design: &dyn FaultTarget) -> Vec<SiteReport> {
-        let mut reports = Vec::new();
-        for site in design.fault_sites() {
-            for value in [false, true] {
-                reports.push(self.characterize(design, Fault::stuck_at(site, value)));
-            }
-        }
-        reports
-    }
-
-    /// Transient degradation curve: one campaign per flip probability on
-    /// a single site.
-    pub fn transient_curve(
-        &self,
-        design: &dyn FaultTarget,
-        site: FaultSite,
-        probabilities: &[f64],
-    ) -> Vec<TransientPoint> {
-        probabilities
-            .iter()
-            .map(|&probability| TransientPoint {
-                probability,
-                report: self.characterize(design, Fault::transient(site, probability)),
-            })
-            .collect()
-    }
-
-    /// The fault-free NMED/WCED of a design under this campaign's
-    /// operand distribution (convenience baseline).
-    pub fn baseline(&self, design: &dyn realm_core::Multiplier) -> DistanceSummary {
-        crate::nmed::distance_metrics_threaded(design, self.samples, self.seed, self.threads)
     }
 }
 
@@ -519,7 +467,7 @@ pub fn summarize_by_class(reports: &[SiteReport]) -> Vec<ClassSummary> {
 mod tests {
     use super::*;
     use realm_core::{Realm, RealmConfig};
-    use realm_fault::Operand;
+    use realm_fault::{FaultSite, Operand};
 
     fn realm16() -> Realm {
         Realm::new(RealmConfig::n16(16, 0)).expect("valid configuration")
@@ -592,20 +540,22 @@ mod tests {
 
     #[test]
     fn transient_curve_is_monotone_in_probability() {
-        let points = campaign().transient_curve(
-            &realm16(),
-            FaultSite::ShiftAmount { bit: 3 },
-            &[0.0, 0.1, 0.5, 1.0],
-        );
+        let points: Vec<SiteReport> = [0.0, 0.1, 0.5, 1.0]
+            .iter()
+            .map(|&p| {
+                campaign().characterize(
+                    &realm16(),
+                    Fault::transient(FaultSite::ShiftAmount { bit: 3 }, p),
+                )
+            })
+            .collect();
         assert_eq!(points.len(), 4);
-        assert_eq!(points[0].report.corruption_rate, 0.0);
+        assert_eq!(points[0].corruption_rate, 0.0);
         for pair in points.windows(2) {
             assert!(
-                pair[1].report.nmed_faulty >= pair[0].report.nmed_faulty,
+                pair[1].nmed_faulty >= pair[0].nmed_faulty,
                 "NMED not monotone: {:?}",
-                pair.iter()
-                    .map(|p| p.report.nmed_faulty)
-                    .collect::<Vec<_>>()
+                pair.iter().map(|p| p.nmed_faulty).collect::<Vec<_>>()
             );
         }
     }
@@ -614,7 +564,11 @@ mod tests {
     fn sweep_covers_every_site_twice() {
         let design = realm16();
         let small = FaultCampaign::new(50, 3);
-        let reports = small.stuck_at_sweep(&design);
+        let reports = small
+            .stuck_at_sweep_supervised(&design, &Supervisor::new())
+            .unwrap()
+            .value
+            .unwrap();
         assert_eq!(reports.len(), 2 * design.fault_sites().len());
     }
 

@@ -13,9 +13,11 @@ const RAMP: &[char] = &[' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
 ///
 /// ```
 /// use realm_baselines::Calm;
-/// use realm_metrics::{error_profile, heatmap::render_heatmap};
+/// use realm_metrics::{heatmap::render_heatmap, Engine, ProfileWorkload};
 ///
-/// let profile = error_profile(&Calm::new(16), 32..=255, 32..=255);
+/// let profile = Engine::default()
+///     .run(&ProfileWorkload::new(&Calm::new(16), 32..=255, 32..=255))
+///     .unwrap_or_default();
 /// let map = render_heatmap(&profile, 32, 16, 0.12);
 /// assert_eq!(map.lines().count(), 16);
 /// ```
@@ -75,7 +77,9 @@ mod tests {
     use realm_core::{Realm, RealmConfig};
 
     fn profile_of(design: &dyn realm_core::Multiplier) -> Vec<ProfilePoint> {
-        crate::exhaustive::error_profile(design, 32..=255, 32..=255)
+        crate::Engine::default()
+            .run(&crate::ProfileWorkload::new(design, 32..=255, 32..=255))
+            .unwrap_or_default()
     }
 
     #[test]

@@ -35,31 +35,16 @@ pub mod spec;
 pub mod summary;
 pub mod sweep;
 
-pub use breakdown::{
-    characterize_by_interval, characterize_by_interval_supervised,
-    characterize_by_interval_threaded, BreakdownWorkload, IntervalCell,
-};
+pub use breakdown::{BreakdownWorkload, IntervalCell};
 pub use dnn::{parse_layer_bindings, DnnConfig, DnnPoint, DnnSweep, LayerBinding};
 pub use engine::{Engine, Workload};
-pub use exhaustive::{
-    characterize_range, characterize_range_supervised, characterize_range_threaded, error_profile,
-    error_profile_supervised, error_profile_threaded, ProfileWorkload, RangeWorkload,
-};
-pub use faults::{
-    summarize_by_class, ClassSummary, FaultCampaign, FaultWorkload, SiteReport, TransientPoint,
-};
+pub use exhaustive::{ProfileWorkload, RangeWorkload};
+pub use faults::{summarize_by_class, ClassSummary, FaultCampaign, FaultWorkload, SiteReport};
 pub use histogram::Histogram;
 pub use montecarlo::{MonteCarlo, MonteCarloWorkload};
-pub use nmed::{
-    distance_metrics, distance_metrics_supervised, distance_metrics_threaded, DistanceSummary,
-    DistanceWorkload,
-};
+pub use nmed::{DistanceSummary, DistanceWorkload};
 pub use pareto::{pareto_front, ParetoPoint};
 pub use realm_harness::{Supervised, Supervisor};
-/// The observability layer (`realm-obs`): install a collector on a
-/// [`Supervisor`] via `Supervisor::with_collector` to stream spans,
-/// metrics and JSONL events from every `*_supervised` campaign family.
-pub use realm_obs as obs;
 pub use realm_par::Threads;
 pub use spec::{
     parse_design, CampaignSpec, DesignSpec, ErrorSla, FamilySpec, Scoped, SpecError, SpecWorkload,

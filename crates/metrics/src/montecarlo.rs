@@ -70,11 +70,6 @@ impl MonteCarlo {
         }
     }
 
-    /// The paper's full-budget campaign: `2^24` samples.
-    pub fn paper_budget(seed: u64) -> Self {
-        MonteCarlo::new(1 << 24, seed)
-    }
-
     /// Sets the worker-thread policy. Purely a performance knob: summaries
     /// are bit-identical for every choice.
     pub fn with_threads(mut self, threads: Threads) -> Self {

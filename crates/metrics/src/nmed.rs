@@ -6,10 +6,10 @@
 use realm_core::multiplier::MultiplierExt;
 use realm_core::rng::SplitMix64;
 use realm_core::Multiplier;
-use realm_harness::{ByteReader, Checkpoint, HarnessError, Supervised, Supervisor};
-use realm_par::{Chunk, ChunkPlan, Threads};
+use realm_harness::{ByteReader, Checkpoint};
+use realm_par::{Chunk, ChunkPlan};
 
-use crate::engine::{Engine, Workload};
+use crate::engine::Workload;
 use crate::montecarlo::DEFAULT_CHUNK;
 
 /// Absolute-error statistics for one design.
@@ -49,8 +49,21 @@ impl Checkpoint for DistancePartial {
 
 /// The [`Workload`] of a distance-metrics campaign: chunk `i` draws
 /// uniform operand pairs from `SplitMix64::stream(seed, i)` and sums
-/// absolute error distances; finalization normalizes by the samples the
-/// folded chunks actually cover (equal to the budget on complete runs).
+/// absolute error distances; the per-chunk sums fold in chunk order, so
+/// the summary is bit-identical for every thread policy. Finalization
+/// normalizes by the samples the folded chunks actually cover (equal to
+/// the budget on complete runs; `None` when they cover none, as for a
+/// zero-sample budget).
+///
+/// ```
+/// use realm_core::Accurate;
+/// use realm_metrics::{DistanceWorkload, Engine};
+///
+/// let s = Engine::default()
+///     .run(&DistanceWorkload::new(&Accurate::new(16), 10_000, 1))
+///     .unwrap_or_else(|| panic!("the campaign draws samples"));
+/// assert_eq!(s.nmed, 0.0);
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct DistanceWorkload<'a> {
     design: &'a dyn Multiplier,
@@ -137,58 +150,19 @@ impl Workload for DistanceWorkload<'_> {
     }
 }
 
-/// [`distance_metrics`] with an explicit worker-thread policy. The summary
-/// is bit-identical for every policy: chunk `i` draws from
-/// `SplitMix64::stream(seed, i)` and the per-chunk sums fold in chunk
-/// order.
-pub fn distance_metrics_threaded(
-    design: &dyn Multiplier,
-    samples: u64,
-    seed: u64,
-    threads: Threads,
-) -> DistanceSummary {
-    assert!(samples > 0, "need at least one sample");
-    Engine::new(threads)
-        .run(&DistanceWorkload::new(design, samples, seed))
-        .unwrap_or_else(|| unreachable!("a nonempty campaign covers at least one sample"))
-}
-
-/// [`distance_metrics`] under a [`Supervisor`]. A complete run is
-/// bit-identical to [`distance_metrics_threaded`]; a partial run
-/// normalizes by — and reports — the samples actually covered.
-pub fn distance_metrics_supervised(
-    design: &dyn Multiplier,
-    samples: u64,
-    seed: u64,
-    supervisor: &Supervisor,
-) -> Result<Supervised<DistanceSummary>, HarnessError> {
-    assert!(samples > 0, "need at least one sample");
-    Engine::supervised(&DistanceWorkload::new(design, samples, seed), supervisor)
-}
-
-/// Measures NMED/WCED with `samples` uniform operand pairs on every
-/// available hardware thread (the thread count never changes the result).
-///
-/// ```
-/// use realm_core::Accurate;
-/// use realm_metrics::nmed::distance_metrics;
-///
-/// let s = distance_metrics(&Accurate::new(16), 10_000, 1);
-/// assert_eq!(s.nmed, 0.0);
-/// ```
-pub fn distance_metrics(design: &dyn Multiplier, samples: u64, seed: u64) -> DistanceSummary {
-    distance_metrics_threaded(design, samples, seed, Threads::Auto)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use realm_baselines::{Calm, Drum};
     use realm_core::{Accurate, Realm, RealmConfig};
+    use realm_par::Threads;
 
     #[test]
     fn accurate_is_zero() {
-        let s = distance_metrics(&Accurate::new(16), 5_000, 1);
+        let s = Engine::default()
+            .run(&DistanceWorkload::new(&Accurate::new(16), 5_000, 1))
+            .unwrap();
         assert_eq!(s.nmed, 0.0);
         assert_eq!(s.worst_case, 0.0);
     }
@@ -196,8 +170,12 @@ mod tests {
     #[test]
     fn realm_nmed_beats_calm() {
         let realm = Realm::new(RealmConfig::n16(16, 0)).expect("paper design point");
-        let r = distance_metrics(&realm, 200_000, 7);
-        let c = distance_metrics(&Calm::new(16), 200_000, 7);
+        let r = Engine::default()
+            .run(&DistanceWorkload::new(&realm, 200_000, 7))
+            .unwrap();
+        let c = Engine::default()
+            .run(&DistanceWorkload::new(&Calm::new(16), 200_000, 7))
+            .unwrap();
         assert!(r.nmed < c.nmed / 4.0, "REALM {} vs cALM {}", r.nmed, c.nmed);
     }
 
@@ -205,39 +183,53 @@ mod tests {
     fn nmed_ordering_matches_relative_ordering_for_log_family() {
         // For designs whose relative error is roughly magnitude-
         // independent, NMED ordering tracks mean-relative-error ordering.
-        let r16 = distance_metrics(
-            &Realm::new(RealmConfig::n16(16, 0)).expect("paper design point"),
-            100_000,
-            3,
-        );
-        let r4 = distance_metrics(
-            &Realm::new(RealmConfig::n16(4, 0)).expect("paper design point"),
-            100_000,
-            3,
-        );
+        let r16 = Engine::default()
+            .run(&DistanceWorkload::new(
+                &Realm::new(RealmConfig::n16(16, 0)).expect("paper design point"),
+                100_000,
+                3,
+            ))
+            .unwrap();
+        let r4 = Engine::default()
+            .run(&DistanceWorkload::new(
+                &Realm::new(RealmConfig::n16(4, 0)).expect("paper design point"),
+                100_000,
+                3,
+            ))
+            .unwrap();
         assert!(r16.nmed < r4.nmed);
     }
 
     #[test]
     fn distance_is_thread_count_independent() {
         let realm = Realm::new(RealmConfig::n16(8, 3)).expect("paper design point");
-        let one = distance_metrics_threaded(&realm, 300_000, 5, Threads::Fixed(1));
+        let one = Engine::new(Threads::Fixed(1)).run(&DistanceWorkload::new(&realm, 300_000, 5));
         for workers in [2usize, 8] {
-            let many = distance_metrics_threaded(&realm, 300_000, 5, Threads::Fixed(workers));
+            let many = Engine::new(Threads::Fixed(workers))
+                .run(&DistanceWorkload::new(&realm, 300_000, 5));
             assert_eq!(one, many, "workers={workers}");
         }
     }
 
     #[test]
     fn drum_worst_case_is_bounded() {
-        let s = distance_metrics(&Drum::new(16, 8).expect("valid"), 100_000, 5);
+        let s = Engine::default()
+            .run(&DistanceWorkload::new(
+                &Drum::new(16, 8).expect("valid"),
+                100_000,
+                5,
+            ))
+            .unwrap();
         // Relative error < 2^-6 → normalized distance below that too.
         assert!(s.worst_case < 1.0 / 64.0, "worst {}", s.worst_case);
     }
 
     #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn zero_samples_panics() {
-        let _ = distance_metrics(&Accurate::new(16), 0, 1);
+    fn zero_samples_yield_none() {
+        let design = Accurate::new(16);
+        assert_eq!(
+            Engine::default().run(&DistanceWorkload::new(&design, 0, 1)),
+            None
+        );
     }
 }

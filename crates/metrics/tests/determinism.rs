@@ -7,8 +7,8 @@ use realm_baselines::catalog;
 use realm_core::{Realm, RealmConfig};
 use realm_fault::{Fault, FaultSite};
 use realm_metrics::{
-    characterize_by_interval_threaded, characterize_range_threaded, distance_metrics_threaded,
-    error_profile_threaded, FaultCampaign, MonteCarlo, Threads,
+    BreakdownWorkload, DistanceWorkload, Engine, FaultCampaign, MonteCarlo, ProfileWorkload,
+    RangeWorkload, Threads,
 };
 
 /// Small but multi-chunk budget: 8 chunks of 512 samples.
@@ -52,11 +52,13 @@ fn montecarlo_auto_threads_match_reference() {
 #[test]
 fn distance_metrics_are_bit_identical_across_thread_counts() {
     for design in catalog::table2_designs() {
-        let reference =
-            distance_metrics_threaded(design.as_ref(), SAMPLES, SEED, Threads::Fixed(1));
+        let reference = Engine::new(Threads::Fixed(1))
+            .run(&DistanceWorkload::new(design.as_ref(), SAMPLES, SEED))
+            .expect("nonempty campaign");
         for workers in THREAD_COUNTS {
-            let summary =
-                distance_metrics_threaded(design.as_ref(), SAMPLES, SEED, Threads::Fixed(workers));
+            let summary = Engine::new(Threads::Fixed(workers))
+                .run(&DistanceWorkload::new(design.as_ref(), SAMPLES, SEED))
+                .expect("nonempty campaign");
             assert_eq!(
                 summary,
                 reference,
@@ -70,15 +72,13 @@ fn distance_metrics_are_bit_identical_across_thread_counts() {
 #[test]
 fn interval_breakdown_is_bit_identical_across_thread_counts() {
     for design in catalog::table2_designs() {
-        let reference =
-            characterize_by_interval_threaded(design.as_ref(), SAMPLES, SEED, Threads::Fixed(1));
+        let reference = Engine::new(Threads::Fixed(1))
+            .run(&BreakdownWorkload::new(design.as_ref(), SAMPLES, SEED))
+            .unwrap_or_default();
         for workers in THREAD_COUNTS {
-            let cells = characterize_by_interval_threaded(
-                design.as_ref(),
-                SAMPLES,
-                SEED,
-                Threads::Fixed(workers),
-            );
+            let cells = Engine::new(Threads::Fixed(workers))
+                .run(&BreakdownWorkload::new(design.as_ref(), SAMPLES, SEED))
+                .unwrap_or_default();
             assert_eq!(cells.len(), reference.len(), "{}", design.name());
             for (got, want) in cells.iter().zip(&reference) {
                 assert_eq!((got.ka, got.kb), (want.ka, want.kb), "{}", design.name());
@@ -98,20 +98,20 @@ fn interval_breakdown_is_bit_identical_across_thread_counts() {
 #[test]
 fn exhaustive_sweeps_are_bit_identical_across_thread_counts() {
     for design in catalog::table2_designs() {
-        let reference =
-            characterize_range_threaded(design.as_ref(), 32..=160, 32..=160, Threads::Fixed(1));
-        let profile_ref =
-            error_profile_threaded(design.as_ref(), 32..=96, 32..=96, Threads::Fixed(1));
+        let reference = Engine::new(Threads::Fixed(1))
+            .run(&RangeWorkload::new(design.as_ref(), 32..=160, 32..=160))
+            .expect("nonzero products");
+        let profile_ref = Engine::new(Threads::Fixed(1))
+            .run(&ProfileWorkload::new(design.as_ref(), 32..=96, 32..=96))
+            .unwrap_or_default();
         for workers in THREAD_COUNTS {
-            let summary = characterize_range_threaded(
-                design.as_ref(),
-                32..=160,
-                32..=160,
-                Threads::Fixed(workers),
-            );
+            let summary = Engine::new(Threads::Fixed(workers))
+                .run(&RangeWorkload::new(design.as_ref(), 32..=160, 32..=160))
+                .expect("nonzero products");
             assert_eq!(summary, reference, "{}", design.name());
-            let profile =
-                error_profile_threaded(design.as_ref(), 32..=96, 32..=96, Threads::Fixed(workers));
+            let profile = Engine::new(Threads::Fixed(workers))
+                .run(&ProfileWorkload::new(design.as_ref(), 32..=96, 32..=96))
+                .unwrap_or_default();
             assert_eq!(profile, profile_ref, "{}", design.name());
         }
     }

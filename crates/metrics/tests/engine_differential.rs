@@ -21,12 +21,10 @@ use realm_baselines::Calm;
 use realm_core::{Realm, RealmConfig};
 use realm_fault::{Fault, FaultSite};
 use realm_metrics::faults::FaultCampaign;
-use realm_metrics::nmed::{distance_metrics_supervised, distance_metrics_threaded};
 use realm_metrics::summary::ErrorSummary;
 use realm_metrics::{
-    characterize_by_interval_supervised, characterize_by_interval_threaded,
-    characterize_range_supervised, characterize_range_threaded, error_profile_supervised,
-    error_profile_threaded, IntervalCell, MonteCarlo, Supervisor, Threads,
+    BreakdownWorkload, DistanceWorkload, Engine, IntervalCell, MonteCarlo, ProfileWorkload,
+    RangeWorkload, Supervisor, Threads,
 };
 use std::path::PathBuf;
 
@@ -199,10 +197,14 @@ fn exhaustive_matches_prerefactor_golden_at_every_thread_count() {
     let r16 = realm(16, 0);
     for workers in THREAD_COUNTS {
         let threads = Threads::Fixed(workers);
-        let s = characterize_range_threaded(&r82, 1..=300, 1..=300, threads);
+        let s = Engine::new(threads)
+            .run(&RangeWorkload::new(&r82, 1..=300, 1..=300))
+            .expect("nonzero products");
         assert_range_golden(&s, &format!("range workers={workers}"));
 
-        let pts = error_profile_threaded(&r16, 32..=96, 32..=96, threads);
+        let pts = Engine::new(threads)
+            .run(&ProfileWorkload::new(&r16, 32..=96, 32..=96))
+            .unwrap_or_default();
         assert_eq!(pts.len(), PROFILE_GOLDEN_LEN, "profile workers={workers}");
         assert_eq!(
             profile_hash(&pts),
@@ -221,14 +223,15 @@ fn exhaustive_supervised_and_resumed_match_golden() {
         .with_threads(Threads::Fixed(2))
         .checkpoint_to(&dir)
         .with_chunk_budget(19);
-    let partial =
-        characterize_range_supervised(&r82, 1..=300, 1..=300, &sup).expect("supervised run");
+    let partial = Engine::supervised(&RangeWorkload::new(&r82, 1..=300, 1..=300), &sup)
+        .expect("supervised run");
     assert!(!partial.report.is_complete());
     let sup = Supervisor::new()
         .with_threads(Threads::Fixed(1))
         .checkpoint_to(&dir)
         .resume(true);
-    let resumed = characterize_range_supervised(&r82, 1..=300, 1..=300, &sup).expect("resumed run");
+    let resumed =
+        Engine::supervised(&RangeWorkload::new(&r82, 1..=300, 1..=300), &sup).expect("resumed run");
     assert!(resumed.report.is_complete());
     assert_range_golden(
         &resumed.value.expect("complete run has a summary"),
@@ -246,13 +249,15 @@ fn profile_supervised_and_resumed_match_golden() {
         .with_threads(Threads::Fixed(2))
         .checkpoint_to(&dir)
         .with_chunk_budget(4);
-    let partial = error_profile_supervised(&r16, 32..=96, 32..=96, &sup).expect("supervised run");
+    let partial = Engine::supervised(&ProfileWorkload::new(&r16, 32..=96, 32..=96), &sup)
+        .expect("supervised run");
     assert!(!partial.report.is_complete());
     let sup = Supervisor::new()
         .with_threads(Threads::Fixed(8))
         .checkpoint_to(&dir)
         .resume(true);
-    let resumed = error_profile_supervised(&r16, 32..=96, 32..=96, &sup).expect("resumed run");
+    let resumed = Engine::supervised(&ProfileWorkload::new(&r16, 32..=96, 32..=96), &sup)
+        .expect("resumed run");
     assert!(resumed.report.is_complete());
     let pts = resumed.value.expect("complete run has points");
     assert_eq!(pts.len(), PROFILE_GOLDEN_LEN);
@@ -269,7 +274,9 @@ const BREAKDOWN_GOLDEN_HASH: u64 = 0x12f1ed94999eed1a;
 fn breakdown_matches_prerefactor_golden_at_every_thread_count() {
     let r41 = realm(4, 1);
     for workers in THREAD_COUNTS {
-        let cells = characterize_by_interval_threaded(&r41, 100_000, 9, Threads::Fixed(workers));
+        let cells = Engine::new(Threads::Fixed(workers))
+            .run(&BreakdownWorkload::new(&r41, 100_000, 9))
+            .unwrap_or_default();
         assert_eq!(cells.len(), BREAKDOWN_GOLDEN_LEN, "workers={workers}");
         assert_eq!(
             cells_hash(&cells),
@@ -288,14 +295,15 @@ fn breakdown_supervised_and_resumed_match_golden() {
         .with_threads(Threads::Fixed(1))
         .checkpoint_to(&dir)
         .with_chunk_budget(1);
-    let partial =
-        characterize_by_interval_supervised(&r41, 100_000, 9, &sup).expect("supervised run");
+    let partial = Engine::supervised(&BreakdownWorkload::new(&r41, 100_000, 9), &sup)
+        .expect("supervised run");
     assert!(!partial.report.is_complete());
     let sup = Supervisor::new()
         .with_threads(Threads::Fixed(2))
         .checkpoint_to(&dir)
         .resume(true);
-    let resumed = characterize_by_interval_supervised(&r41, 100_000, 9, &sup).expect("resumed run");
+    let resumed =
+        Engine::supervised(&BreakdownWorkload::new(&r41, 100_000, 9), &sup).expect("resumed run");
     assert!(resumed.report.is_complete());
     let cells = resumed.value.expect("complete run has cells");
     assert_eq!(cells.len(), BREAKDOWN_GOLDEN_LEN);
@@ -311,7 +319,9 @@ const NMED_GOLDEN: (u64, u64, u64) = (100_000, 0x3f5cfe1fe27f04cc, 0x3f9343d52b9
 fn nmed_matches_prerefactor_golden_at_every_thread_count() {
     let r83 = realm(8, 3);
     for workers in THREAD_COUNTS {
-        let d = distance_metrics_threaded(&r83, 100_000, 5, Threads::Fixed(workers));
+        let d = Engine::new(Threads::Fixed(workers))
+            .run(&DistanceWorkload::new(&r83, 100_000, 5))
+            .expect("nonempty campaign");
         assert_eq!(d.samples, NMED_GOLDEN.0, "workers={workers}");
         assert_eq!(d.nmed.to_bits(), NMED_GOLDEN.1, "workers={workers}");
         assert_eq!(d.worst_case.to_bits(), NMED_GOLDEN.2, "workers={workers}");
@@ -326,13 +336,15 @@ fn nmed_supervised_and_resumed_match_golden() {
         .with_threads(Threads::Fixed(1))
         .checkpoint_to(&dir)
         .with_chunk_budget(1);
-    let partial = distance_metrics_supervised(&r83, 100_000, 5, &sup).expect("supervised run");
+    let partial =
+        Engine::supervised(&DistanceWorkload::new(&r83, 100_000, 5), &sup).expect("supervised run");
     assert!(!partial.report.is_complete());
     let sup = Supervisor::new()
         .with_threads(Threads::Fixed(8))
         .checkpoint_to(&dir)
         .resume(true);
-    let resumed = distance_metrics_supervised(&r83, 100_000, 5, &sup).expect("resumed run");
+    let resumed =
+        Engine::supervised(&DistanceWorkload::new(&r83, 100_000, 5), &sup).expect("resumed run");
     assert!(resumed.report.is_complete());
     let d = resumed.value.expect("complete run has a summary");
     assert_eq!(d.samples, NMED_GOLDEN.0);
@@ -380,9 +392,11 @@ fn faults_supervised_complete_matches_golden_and_interrupts_resume() {
     let sup = Supervisor::new()
         .with_threads(Threads::Fixed(2))
         .checkpoint_to(&dir);
-    let complete = FaultCampaign::new(4_000, 0xCA11)
-        .characterize_supervised(&design, shift4_fault(), &sup)
-        .expect("supervised run");
+    let complete = Engine::supervised(
+        &FaultCampaign::new(4_000, 0xCA11).workload(&design, shift4_fault()),
+        &sup,
+    )
+    .expect("supervised run");
     assert!(complete.report.is_complete());
     assert_fault_golden(
         &complete.value.expect("complete run has a report"),
@@ -401,17 +415,15 @@ fn faults_supervised_complete_matches_golden_and_interrupts_resume() {
         .with_threads(Threads::Fixed(1))
         .checkpoint_to(&dir2)
         .with_chunk_budget(3);
-    let partial = fine
-        .characterize_supervised(&design, shift4_fault(), &sup)
-        .expect("supervised run");
+    let partial =
+        Engine::supervised(&fine.workload(&design, shift4_fault()), &sup).expect("supervised run");
     assert!(!partial.report.is_complete());
     let sup = Supervisor::new()
         .with_threads(Threads::Fixed(8))
         .checkpoint_to(&dir2)
         .resume(true);
-    let resumed = fine
-        .characterize_supervised(&design, shift4_fault(), &sup)
-        .expect("resumed run");
+    let resumed =
+        Engine::supervised(&fine.workload(&design, shift4_fault()), &sup).expect("resumed run");
     assert!(resumed.report.is_complete());
     assert_eq!(resumed.value.expect("complete"), reference);
     std::fs::remove_dir_all(&dir).ok();

@@ -7,11 +7,11 @@ use std::path::PathBuf;
 
 use realm_baselines::Calm;
 use realm_core::{Realm, RealmConfig};
-use realm_fault::{Fault, FaultSite};
+use realm_fault::{Fault, FaultSite, FaultTarget};
 use realm_harness::Supervisor;
 use realm_metrics::{
-    characterize_by_interval_threaded, characterize_range_threaded, distance_metrics_supervised,
-    distance_metrics_threaded, FaultCampaign, MonteCarlo, Threads,
+    BreakdownWorkload, DistanceWorkload, Engine, FaultCampaign, MonteCarlo, RangeWorkload,
+    SiteReport, Threads,
 };
 
 const SAMPLES: u64 = 40_000;
@@ -118,9 +118,14 @@ fn fully_quarantined_campaign_yields_none_not_a_panic() {
 #[test]
 fn supervised_nmed_matches_plain() {
     let design = Calm::new(16);
-    let plain = distance_metrics_threaded(&design, SAMPLES, SEED, Threads::Auto);
-    let sup = distance_metrics_supervised(&design, SAMPLES, SEED, &Supervisor::new())
-        .expect("supervised run");
+    let plain = Engine::new(Threads::Auto)
+        .run(&DistanceWorkload::new(&design, SAMPLES, SEED))
+        .expect("nonempty campaign");
+    let sup = Engine::supervised(
+        &DistanceWorkload::new(&design, SAMPLES, SEED),
+        &Supervisor::new(),
+    )
+    .expect("supervised run");
     assert!(sup.report.is_complete());
     assert_eq!(sup.value, Some(plain));
 }
@@ -128,20 +133,18 @@ fn supervised_nmed_matches_plain() {
 #[test]
 fn supervised_exhaustive_matches_plain_after_resume() {
     let design = realm16();
-    let plain = characterize_range_threaded(&design, 32..=255, 32..=255, Threads::Auto);
+    let plain = Engine::new(Threads::Auto)
+        .run(&RangeWorkload::new(&design, 32..=255, 32..=255))
+        .expect("nonzero products");
     let dir = temp_dir("exhaustive");
-    let first = realm_metrics::characterize_range_supervised(
-        &design,
-        32..=255,
-        32..=255,
+    let first = Engine::supervised(
+        &RangeWorkload::new(&design, 32..=255, 32..=255),
         &Supervisor::new().checkpoint_to(&dir).with_chunk_budget(10),
     )
     .expect("first leg");
     assert!(!first.report.is_complete());
-    let resumed = realm_metrics::characterize_range_supervised(
-        &design,
-        32..=255,
-        32..=255,
+    let resumed = Engine::supervised(
+        &RangeWorkload::new(&design, 32..=255, 32..=255),
         &Supervisor::new().checkpoint_to(&dir).resume(true),
     )
     .expect("resume leg");
@@ -153,11 +156,11 @@ fn supervised_exhaustive_matches_plain_after_resume() {
 #[test]
 fn supervised_breakdown_matches_plain() {
     let design = realm16();
-    let plain = characterize_by_interval_threaded(&design, SAMPLES, SEED, Threads::Auto);
-    let sup = realm_metrics::characterize_by_interval_supervised(
-        &design,
-        SAMPLES,
-        SEED,
+    let plain = Engine::new(Threads::Auto)
+        .run(&BreakdownWorkload::new(&design, SAMPLES, SEED))
+        .unwrap_or_default();
+    let sup = Engine::supervised(
+        &BreakdownWorkload::new(&design, SAMPLES, SEED),
         &Supervisor::new(),
     )
     .expect("supervised run");
@@ -173,35 +176,43 @@ fn supervised_breakdown_matches_plain() {
 #[test]
 fn supervised_fault_campaign_matches_plain_after_resume() {
     let design = realm16();
-    let fault = Fault::stuck_at(FaultSite::ShiftAmount { bit: 4 }, false);
-    let campaign = FaultCampaign::new(20_000, SEED).with_chunk(1 << 11);
-    let plain = campaign.characterize(&design, fault);
-    let dir = temp_dir("fault");
-    let first = campaign
-        .characterize_supervised(
-            &design,
-            fault,
+    // A stuck-at fault, and a transient one whose flips draw from the
+    // chunk substream per operation.
+    for fault in [
+        Fault::stuck_at(FaultSite::ShiftAmount { bit: 4 }, false),
+        Fault::transient(FaultSite::ShiftAmount { bit: 4 }, 0.01),
+    ] {
+        let campaign = FaultCampaign::new(20_000, SEED).with_chunk(1 << 11);
+        let plain = campaign.characterize(&design, fault);
+        let dir = temp_dir("fault");
+        let first = Engine::supervised(
+            &campaign.workload(&design, fault),
             &Supervisor::new().checkpoint_to(&dir).with_chunk_budget(4),
         )
         .expect("first leg");
-    assert!(!first.report.is_complete());
-    let resumed = campaign
-        .characterize_supervised(
-            &design,
-            fault,
+        assert!(!first.report.is_complete());
+        let resumed = Engine::supervised(
+            &campaign.workload(&design, fault),
             &Supervisor::new().checkpoint_to(&dir).resume(true),
         )
         .expect("resume leg");
-    assert!(resumed.report.is_complete());
-    assert_eq!(resumed.value, Some(plain));
-    let _ = std::fs::remove_dir_all(&dir);
+        assert!(resumed.report.is_complete());
+        assert_eq!(resumed.value, Some(plain));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn supervised_stuck_at_sweep_stops_at_deadline_and_resumes() {
     let design = realm16();
     let campaign = FaultCampaign::new(500, SEED).with_chunk(500);
-    let plain = campaign.stuck_at_sweep(&design);
+    let plain: Vec<SiteReport> = design
+        .fault_sites()
+        .into_iter()
+        .flat_map(|site| {
+            [false, true].map(|v| campaign.characterize(&design, Fault::stuck_at(site, v)))
+        })
+        .collect();
     // An already-expired deadline: the sweep schedules nothing.
     let stopped = campaign
         .stuck_at_sweep_supervised(

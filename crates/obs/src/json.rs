@@ -6,8 +6,8 @@
 //! tables, serve ledgers, tests poking at `metrics_summary.json`) can
 //! share one parser. Numbers keep their source text so 64-bit job ids
 //! and seeds round-trip exactly (an `f64` intermediate would corrupt
-//! values above 2^53). Writing stays where it always was: the obs
-//! escaper ([`json_string`]) plus hand-formatted documents, which is
+//! values above 2^53). Writing is the obs escaper ([`json_string`]),
+//! [`object`] and [`exact_f64`] plus hand-formatted documents, which is
 //! what keeps artifact bytes deterministic.
 
 use std::fmt;
@@ -341,6 +341,14 @@ pub fn object(members: &[(&str, String)]) -> String {
     out
 }
 
+/// A float as the compact object `{"value":…,"bits":"…"}`: the shortest
+/// decimal that round-trips, plus the IEEE-754 bit pattern as 16 hex
+/// digits. `bits` is authoritative on load, so a reader restores the
+/// value bit-exactly.
+pub fn exact_f64(x: f64) -> String {
+    format!("{{\"value\":{x:?},\"bits\":\"{:016x}\"}}", x.to_bits())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,5 +419,14 @@ mod tests {
         let v = Json::parse(&doc).unwrap();
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(7));
         assert_eq!(v.get("tenant").and_then(Json::as_str), Some("a\"b"));
+    }
+
+    #[test]
+    fn exact_f64_writes_value_and_bits() {
+        assert_eq!(exact_f64(0.1), r#"{"value":0.1,"bits":"3fb999999999999a"}"#);
+        assert_eq!(
+            exact_f64(-0.0),
+            r#"{"value":-0.0,"bits":"8000000000000000"}"#
+        );
     }
 }

@@ -14,13 +14,13 @@
 //!   reject tables characterized under different conditions than the
 //!   caller expects ("stale fingerprints").
 //!
-//! Floats serialize as `{"value": …, "bits": "ieee754-hex"}` — the same
-//! convention as the bench artifacts — so a load round-trips every
-//! metric bit-exactly.
+//! Floats serialize through [`exact_f64`] as
+//! `{"value":…,"bits":"ieee754-hex"}`, the convention of the serve
+//! results too, so a load round-trips every metric bit-exactly.
 
 use realm_harness::Fnv64;
-use realm_metrics::{distance_metrics_threaded, DesignSpec, MonteCarlo, Threads};
-use realm_obs::{atomic_write_str, json_string, Json};
+use realm_metrics::{DesignSpec, DistanceWorkload, Engine, MonteCarlo, Threads};
+use realm_obs::{atomic_write_str, json::exact_f64, json_string, Json};
 use realm_synth::designs::netlist;
 use realm_synth::report::{PAPER_ACCURATE_AREA_UM2, PAPER_ACCURATE_POWER_UW};
 use realm_synth::Reporter;
@@ -163,8 +163,13 @@ impl QosTable {
             let errors = MonteCarlo::new(cfg.samples, cfg.seed)
                 .with_threads(cfg.threads)
                 .characterize(design.as_ref());
-            let distance =
-                distance_metrics_threaded(design.as_ref(), cfg.samples, cfg.seed, cfg.threads);
+            let distance = Engine::new(cfg.threads)
+                .run(&DistanceWorkload::new(
+                    design.as_ref(),
+                    cfg.samples,
+                    cfg.seed,
+                ))
+                .ok_or_else(|| invalid(&"the distance campaign drew no samples"))?;
             let report = reporter.report(&netlist(&spec));
             let cost = 0.5
                 * (report.area_um2 / PAPER_ACCURATE_AREA_UM2
@@ -217,12 +222,12 @@ impl QosTable {
                 "{sep}{{\"design\":{},\"mean_error\":{},\"nmed\":{},\"peak_error\":{},\
                  \"area_um2\":{},\"power_uw\":{},\"cost\":{}}}",
                 json_string(&e.design),
-                json_f64(e.mean_error),
-                json_f64(e.nmed),
-                json_f64(e.peak_error),
-                json_f64(e.area_um2),
-                json_f64(e.power_uw),
-                json_f64(e.cost),
+                exact_f64(e.mean_error),
+                exact_f64(e.nmed),
+                exact_f64(e.peak_error),
+                exact_f64(e.area_um2),
+                exact_f64(e.power_uw),
+                exact_f64(e.cost),
             );
         }
         out.push_str("\n]");
@@ -325,12 +330,6 @@ impl QosTable {
         }
         Ok(table)
     }
-}
-
-/// A float as `{"value": shortest-round-trip, "bits": hex}` (the bench
-/// artifact convention; `bits` is authoritative on load).
-fn json_f64(x: f64) -> String {
-    format!("{{\"value\":{x:?},\"bits\":\"{:016x}\"}}", x.to_bits())
 }
 
 fn hex_u64(doc: &Json, key: &str) -> Result<u64, QosError> {

@@ -63,7 +63,7 @@ pub fn wait_terminal(addr: SocketAddr, id: u64, deadline: Duration) -> io::Resul
 }
 
 /// Pulls a `"field":"value"` string member out of a flat JSON body —
-/// enough for polling loops; real parsing lives in [`crate::json`].
+/// enough for polling loops; real parsing lives in [`realm_obs::json`].
 pub fn extract_string_field(body: &str, field: &str) -> Option<String> {
     let needle = format!("\"{field}\":\"");
     let start = body.find(&needle)? + needle.len();

@@ -24,7 +24,7 @@ use std::fmt;
 use realm_metrics::{CampaignSpec, ErrorSla, ErrorSummary, FamilySpec};
 use realm_obs::json_string;
 
-use crate::json::{object, Json};
+use realm_obs::json::{exact_f64, object, Json};
 
 /// Server-assigned job identifier (dense, monotonic, reused as the
 /// ledger record index).
@@ -316,18 +316,12 @@ impl Terminal {
     }
 }
 
-/// A float as `{"value": shortest-round-trip, "bits": ieee754-hex}` —
-/// byte-stable because the campaign fold is bit-identical across
-/// threads, resumes and restarts (same convention as the bench
-/// drivers' campaign summaries).
-fn json_f64(x: f64) -> String {
-    format!("{{\"value\":{x:?},\"bits\":\"{:016x}\"}}", x.to_bits())
-}
-
 /// The byte-stable result document of a completed job. Deliberately a
 /// pure function of the *spec outcome* (not of job id, timing, tenant
 /// or retry history) so that two jobs with equal specs — or one job
-/// killed and resumed — produce byte-identical results.
+/// killed and resumed — produce byte-identical results: the floats are
+/// [`exact_f64`] objects, and the campaign fold is bit-identical across
+/// threads, resumes and restarts.
 pub fn result_json(spec: &CampaignSpec, summary: &ErrorSummary) -> String {
     let mut members = vec![
         ("schema", json_string("realm-serve/result/v1")),
@@ -339,11 +333,11 @@ pub fn result_json(spec: &CampaignSpec, summary: &ErrorSummary) -> String {
     members.extend([
         ("seed", spec.seed.to_string()),
         ("samples", summary.samples.to_string()),
-        ("bias", json_f64(summary.bias)),
-        ("mean_error", json_f64(summary.mean_error)),
-        ("variance", json_f64(summary.variance)),
-        ("min_error", json_f64(summary.min_error)),
-        ("max_error", json_f64(summary.max_error)),
+        ("bias", exact_f64(summary.bias)),
+        ("mean_error", exact_f64(summary.mean_error)),
+        ("variance", exact_f64(summary.variance)),
+        ("min_error", exact_f64(summary.min_error)),
+        ("max_error", exact_f64(summary.max_error)),
     ]);
     object(&members)
 }

@@ -24,10 +24,10 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use realm_harness::{CampaignId, HarnessError, Journal};
+use realm_obs::json::Json;
 use realm_par::ChunkPlan;
 
 use crate::job::{Job, JobId, JobRequest, Terminal};
-use crate::json::Json;
 
 /// The fixed identity of the accepted ledger. The plan geometry is a
 /// formality (ledger indices are job ids, not chunk indices); the

@@ -27,7 +27,6 @@
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod ledger;
 pub mod queue;
 pub mod server;

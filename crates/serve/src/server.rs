@@ -5,7 +5,10 @@
 //! # Threading model
 //!
 //! * `http_threads` acceptor threads share one non-blocking listener;
-//!   each serves one connection at a time (`Connection: close`).
+//!   each serves one connection at a time (`Connection: close`). A
+//!   panic while answering a request is caught per connection: the
+//!   client gets a 500, `http_panics_total` counts it, and the acceptor
+//!   goes on serving.
 //! * `workers` worker threads block on the [`AdmissionQueue`] and run
 //!   one job at a time; each job gets its own supervisor (and may use
 //!   `job_threads` chunk threads of its own).
@@ -17,6 +20,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,9 +35,9 @@ use realm_qos::{Action, Controller, ControllerConfig, Observation, QosTable, Tab
 
 use crate::http::{read_request, ParseError, Request, Response};
 use crate::job::{result_json, Job, JobId, JobRequest, JobState, Terminal};
-use crate::json::{object, Json};
 use crate::ledger::Ledgers;
 use crate::queue::{AdmissionQueue, AdmitError, AdmitResult};
+use realm_obs::json::{object, Json};
 
 /// Server configuration (every knob has a serviceable default).
 #[derive(Debug, Clone)]
@@ -653,7 +657,13 @@ fn serve_connection(state: &Arc<State>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let response = match read_request(&mut stream) {
-        Ok(request) => route(state, &request),
+        Ok(request) => match catch_unwind(AssertUnwindSafe(|| route(state, &request))) {
+            Ok(response) => response,
+            Err(_) => {
+                state.registry.incr("http_panics_total", 1);
+                Response::error(500, "internal error while answering the request")
+            }
+        },
         Err(ParseError::BodyTooLarge) => Response::error(413, "request body too large"),
         Err(ParseError::Malformed(detail)) => Response::error(400, detail),
         Err(ParseError::Io(_)) => return, // peer went away; nothing to say
@@ -874,6 +884,29 @@ mod tests {
         assert_eq!(state, "completed");
         let (status, result) = http_request(server.addr(), "GET", "/jobs/0/result", None).unwrap();
         assert_eq!(status, 200, "{result}");
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_panic_while_routing_answers_500_and_keeps_the_acceptor() {
+        // `start` runs one acceptor thread; the hook panics on it inside
+        // `route`.
+        let (server, dir) = start("route-panic");
+        *server.state.after_admit.lock().unwrap() =
+            Some(Box::new(|_: &State| panic!("injected panic inside route")));
+        let (status, reply) = http_request(server.addr(), "POST", "/jobs", Some(JOB)).unwrap();
+        assert_eq!(status, 500, "{reply}");
+        let (status, reply) = http_request(server.addr(), "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "{reply}");
+        let (status, metrics) = http_request(server.addr(), "GET", "/metrics", None).unwrap();
+        assert_eq!(status, 200, "{metrics}");
+        let panics = Json::parse(&metrics)
+            .unwrap()
+            .get("counters")
+            .and_then(|c| c.get("http_panics_total"))
+            .and_then(Json::as_u64);
+        assert_eq!(panics, Some(1), "{metrics}");
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(dir);
     }

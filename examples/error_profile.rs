@@ -7,7 +7,7 @@
 //! ```
 
 use realm::baselines::{Alm, AlmAdder, Calm, ImpLm, Mbm};
-use realm::metrics::error_profile;
+use realm::metrics::{Engine, ProfileWorkload};
 use realm::{Multiplier, Realm, RealmConfig};
 
 fn design_by_name(name: &str) -> Box<dyn Multiplier> {
@@ -32,7 +32,10 @@ fn main() {
     let design = design_by_name(&name);
     eprintln!("# {} over A, B in 32..=255 (paper Fig. 1 range)", name);
     println!("a,b,relative_error_pct");
-    for p in error_profile(design.as_ref(), 32..=255, 32..=255) {
+    let profile = Engine::default()
+        .run(&ProfileWorkload::new(design.as_ref(), 32..=255, 32..=255))
+        .unwrap_or_default();
+    for p in profile {
         println!("{},{},{:.5}", p.a, p.b, p.error * 100.0);
     }
 }

@@ -4,7 +4,7 @@
 
 use realm::baselines::catalog::{self, DesignSpec};
 use realm::baselines::{Calm, Drum, Mbm};
-use realm::metrics::{characterize_range, MonteCarlo};
+use realm::metrics::{Engine, MonteCarlo, RangeWorkload};
 use realm::multiplier::MultiplierExt;
 use realm::{Realm, RealmConfig};
 
@@ -155,13 +155,17 @@ fn fig1_realm16_beats_every_other_log_design() {
     // Fig. 1/§I: REALM16 outperforms the classical and state-of-the-art
     // log-based multipliers on both mean and peak error.
     let realm = Realm::new(RealmConfig::n16(16, 0)).expect("paper design point");
-    let realm_stats = characterize_range(&realm, 32..=255, 32..=255);
+    let realm_stats = Engine::default()
+        .run(&RangeWorkload::new(&realm, 32..=255, 32..=255))
+        .expect("nonzero products");
     for design in catalog::table1_designs() {
         if matches!(
             design.name(),
             "cALM" | "MBM" | "ALM-MAA" | "ALM-SOA" | "ImpLM"
         ) {
-            let s = characterize_range(design.as_ref(), 32..=255, 32..=255);
+            let s = Engine::default()
+                .run(&RangeWorkload::new(design.as_ref(), 32..=255, 32..=255))
+                .expect("nonzero products");
             assert!(
                 realm_stats.mean_error < s.mean_error,
                 "REALM16 mean {:.3}% not below {} ({:.3}%)",

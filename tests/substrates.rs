@@ -7,7 +7,7 @@ use realm::dsp::fft::{fft, fft_snr, Complex};
 use realm::jpeg::pgm::{read_pgm, write_pgm};
 use realm::jpeg::{psnr, Image, JpegCodec};
 use realm::metrics::heatmap::render_heatmap;
-use realm::metrics::{error_profile, MonteCarlo};
+use realm::metrics::{Engine, MonteCarlo, ProfileWorkload};
 use realm::synth::blocks::booth::booth_netlist;
 use realm::synth::blocks::cla::carry_lookahead_add;
 use realm::synth::designs::kulkarni_netlist;
@@ -36,9 +36,17 @@ fn fft_pipeline_through_realm() {
 
 #[test]
 fn heatmap_contrast_between_calm_and_realm() {
-    let calm_profile = error_profile(&realm::baselines::Calm::new(16), 32..=255, 32..=255);
+    let calm_profile = Engine::default()
+        .run(&ProfileWorkload::new(
+            &realm::baselines::Calm::new(16),
+            32..=255,
+            32..=255,
+        ))
+        .unwrap_or_default();
     let realm = Realm::new(RealmConfig::n16(16, 0)).expect("paper design point");
-    let realm_profile = error_profile(&realm, 32..=255, 32..=255);
+    let realm_profile = Engine::default()
+        .run(&ProfileWorkload::new(&realm, 32..=255, 32..=255))
+        .unwrap_or_default();
     let dark = |s: &str| {
         s.chars()
             .filter(|&c| c == '#' || c == '%' || c == '@')
