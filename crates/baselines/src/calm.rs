@@ -89,39 +89,15 @@ impl Multiplier for Calm {
         mitchell::log_mul_wide(&ea, &eb, 0, 6, self.width)
     }
 
-    /// Monomorphic batch kernel: encode → log-add inlined with the fraction
-    /// width hoisted out of the loop; bit-identical to the scalar path
-    /// (cALM is `log_mul` with a zero correction, so the correction terms
-    /// vanish entirely).
+    /// The `realm-simd` kernel on the active tier up to 31 bits; wider
+    /// designs run the scalar path per lane.
     fn multiply_batch(&self, pairs: &[(u64, u64)], out: &mut [u64]) {
-        let width = self.width;
-        let f = width - 1;
-        // Narrow fast path (width ≤ 31): mantissa < 2^(f+1) and the
-        // scale shift is at most 2·width − 1 − f, so everything fits in
-        // u64. The loop body is `realm_simd::CalmKernel::lane` (this
-        // crate's former monomorphic loop verbatim), giving the scalar
-        // and AVX2 tiers one shared source of truth.
-        if let Some(kernel) = realm_simd::CalmKernel::new(width) {
+        if let Some(kernel) = realm_simd::CalmKernel::new(self.width) {
             kernel.run(realm_simd::active_tier(), pairs, out);
             return;
         }
         for (slot, (a, b)) in realm_core::batch_lanes(pairs, out) {
-            if a == 0 || b == 0 {
-                *slot = 0;
-                continue;
-            }
-            let ka = 63 - a.leading_zeros();
-            let kb = 63 - b.leading_zeros();
-            let fa = (a - (1u64 << ka)) << (f - ka);
-            let fb = (b - (1u64 << kb)) << (f - kb);
-            let fsum = fa + fb;
-            let k_sum = (ka + kb) as i64;
-            let (mantissa, exponent) = if fsum >> f == 0 {
-                ((1u128 << f) + fsum as u128, k_sum)
-            } else {
-                (fsum as u128, k_sum + 1)
-            };
-            *slot = mitchell::saturate_product(mitchell::scale(mantissa, exponent, f), width);
+            *slot = self.multiply(a, b);
         }
     }
 }

@@ -112,43 +112,15 @@ impl Multiplier for Drum {
         }
     }
 
-    /// Monomorphic batch kernel: the fragment width is hoisted out of the
-    /// loop and the operand approximation inlined, avoiding per-sample
-    /// virtual dispatch in Table I catalog sweeps. Products of the
-    /// approximated operands cannot exceed `2N ≤ 64` bits, so plain `u64`
-    /// arithmetic suffices at every supported width. Bit-identical to the
-    /// scalar path — the tests exhaustively cross-check.
+    /// The `realm-simd` kernel on the active tier up to 32 bits; wider
+    /// designs run the scalar path per lane.
     fn multiply_batch(&self, pairs: &[(u64, u64)], out: &mut [u64]) {
-        // The loop body is `realm_simd::DrumKernel::lane` (this crate's
-        // former monomorphic loop verbatim), so the scalar and AVX2
-        // tiers share one source of truth.
         if let Some(kernel) = realm_simd::DrumKernel::new(self.width, self.fragment) {
             kernel.run(realm_simd::active_tier(), pairs, out);
             return;
         }
-        let (k, width) = (self.fragment, self.width);
         for (slot, (a, b)) in realm_core::batch_lanes(pairs, out) {
-            if a == 0 || b == 0 {
-                *slot = 0;
-                continue;
-            }
-            let pa = 63 - a.leading_zeros();
-            let a = if pa < k {
-                a
-            } else {
-                let shift = pa - k + 1;
-                ((a >> shift) | 1) << shift
-            };
-            let pb = 63 - b.leading_zeros();
-            let b = if pb < k {
-                b
-            } else {
-                let shift = pb - k + 1;
-                ((b >> shift) | 1) << shift
-            };
-            // Wide widths (33..=64) are the only way here past the
-            // kernel; clamp exactly as the scalar path does.
-            *slot = realm_core::mitchell::saturate_product(a as u128 * b as u128, width);
+            *slot = self.multiply(a, b);
         }
     }
 }

@@ -186,7 +186,14 @@ impl Options {
                     .ok_or_else(|| CliError(format!("flag {name} requires a value")))
             };
             match flag.as_str() {
-                "--samples" => opts.samples = parse_count(&value("--samples")?)?,
+                "--samples" => {
+                    opts.samples = parse_count(&value("--samples")?)?;
+                    if opts.samples == 0 {
+                        return Err(CliError(
+                            "--samples 0: a campaign needs at least one sample".into(),
+                        ));
+                    }
+                }
                 "--cycles" => {
                     let n = parse_count(&value("--cycles")?)?;
                     opts.cycles = u32::try_from(n).map_err(|_| {
@@ -537,6 +544,7 @@ mod tests {
             &["--samples", "lots"][..],
             &["--samples", "2^64"],
             &["--samples", "99999999999999999999M"],
+            &["--samples", "0"],
             &["--cycles", "2^33"],
             &["--samples"],
         ] {

@@ -70,6 +70,27 @@ fn missing_flag_value_exits_2_everywhere() {
 }
 
 #[test]
+fn zero_samples_exit_2_with_usage_everywhere() {
+    for (name, exe) in BINS {
+        let out = Command::new(exe)
+            .args(["--samples", "0"])
+            .output()
+            .unwrap_or_else(|e| panic!("cannot spawn {name}: {e}"));
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{name}: --samples 0 must exit 2, got {:?}",
+            out.status.code()
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--samples 0") && stderr.contains("--trace"),
+            "{name}: diagnostic and usage table expected:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn malformed_error_sla_exits_2_with_usage_everywhere() {
     for (name, exe) in BINS {
         for bad in ["mean:banana", "typo:0.1", "mean", ""] {

@@ -60,7 +60,6 @@
 
 pub mod accurate;
 pub mod analysis;
-pub mod builder;
 pub mod configurable;
 pub mod divider;
 pub mod error;
@@ -84,7 +83,6 @@ pub mod signed;
 pub use realm_simd as simd;
 
 pub use accurate::Accurate;
-pub use builder::RealmBuilder;
 pub use error::ConfigError;
 pub use factors::ErrorReductionTable;
 pub use lut::QuantizedLut;

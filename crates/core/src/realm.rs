@@ -252,64 +252,16 @@ impl Multiplier for Realm {
         mitchell::log_mul_wide(&ea, &eb, s as u64, self.lut.precision(), width)
     }
 
-    /// Monomorphic batch kernel: the same datapath as `multiply`, with the
-    /// configuration (mask, truncation, fraction width, LUT geometry and
-    /// code slice) hoisted out of the per-sample loop and the encode →
-    /// truncate → lookup → log-add chain inlined. Bit-identical to the
-    /// scalar path by construction — the tests exhaustively cross-check.
+    /// The `realm-simd` kernel on the active tier up to 31 bits (the
+    /// configuration, LUT geometry and code slice hoisted out of the
+    /// per-sample loop); wider designs run the scalar path per lane.
     fn multiply_batch(&self, pairs: &[(u64, u64)], out: &mut [u64]) {
-        let width = self.config.width;
-        let mask = if width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        let t = self.config.truncation;
-        let full_f = width - 1; // fraction bits before truncation
-        let f = full_f - t; // surviving fraction bits (≥ index_bits ≥ 1)
-        let q = self.lut.precision();
-        let m = self.lut.segments() as usize;
-        // Construction guarantees f ≥ index_bits, so this cannot underflow.
-        let idx_shift = f - self.lut.grid().index_bits();
-        let codes = self.lut.codes();
-        // Narrow fast path (width ≤ 31): every intermediate fits in u64
-        // — the mantissa is < 2^(f+2) and the scale shift is at most
-        // 2·width − 1 − f, so the scaled value stays below
-        // 2^(2·width + 1) ≤ 2^63. The loop body lives in `realm-simd`
-        // as `RealmKernel::lane` (the scalar tier is this crate's
-        // former monomorphic loop verbatim) so the AVX2 tier shares one
-        // source of truth; the differential suites prove the tiers
-        // bit-identical on every 8-bit pair and random wide streams.
         if let Some(kernel) = self.batch_kernel() {
             kernel.run(realm_simd::active_tier(), pairs, out);
             return;
         }
         for (slot, (a, b)) in crate::multiplier::batch_lanes(pairs, out) {
-            let (a, b) = (a & mask, b & mask);
-            if a == 0 || b == 0 {
-                *slot = 0; // zero-operand special case
-                continue;
-            }
-            // LOD + barrel shift (LogEncoding::encode), then
-            // truncate-and-set-LSB (LogEncoding::truncate).
-            let ka = 63 - a.leading_zeros();
-            let kb = 63 - b.leading_zeros();
-            let fa = (((a - (1u64 << ka)) << (full_f - ka)) >> t) | 1;
-            let fb = (((b - (1u64 << kb)) << (full_f - kb)) >> t) | 1;
-            // LUT mux on the concatenated fraction MSBs.
-            let s = codes[((fa >> idx_shift) as usize) * m + (fb >> idx_shift) as usize] as u64;
-            // mitchell::log_mul with the lookup already resolved.
-            let fsum = fa + fb;
-            let carry = fsum >> f;
-            let corr_f = if f >= q { s << (f - q) } else { s >> (q - f) };
-            let corr_eff = if carry == 1 { corr_f >> 1 } else { corr_f };
-            let k_sum = (ka + kb) as i64;
-            let (mantissa, exponent) = if carry == 0 {
-                ((1u128 << f) + fsum as u128 + corr_eff as u128, k_sum)
-            } else {
-                (fsum as u128 + corr_eff as u128, k_sum + 1)
-            };
-            *slot = mitchell::saturate_product(mitchell::scale(mantissa, exponent, f), width);
+            *slot = self.multiply(a, b);
         }
     }
 }

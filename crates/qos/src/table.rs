@@ -170,7 +170,7 @@ impl QosTable {
                     cfg.seed,
                 ))
                 .ok_or_else(|| invalid(&"the distance campaign drew no samples"))?;
-            let report = reporter.report(&netlist(&spec));
+            let report = reporter.report(&netlist(&spec).map_err(|e| invalid(&e))?);
             let cost = 0.5
                 * (report.area_um2 / PAPER_ACCURATE_AREA_UM2
                     + report.power_uw / PAPER_ACCURATE_POWER_UW);

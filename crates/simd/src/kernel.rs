@@ -90,8 +90,7 @@ impl CalmKernel {
         })
     }
 
-    /// One scalar lane — bit-identical to the narrow monomorphic loop
-    /// of `realm_baselines::Calm::multiply_batch`.
+    /// One scalar lane — bit-identical to `realm_baselines::Calm::multiply`.
     #[inline]
     pub fn lane(&self, a: u64, b: u64) -> u64 {
         if a == 0 || b == 0 {
@@ -160,8 +159,7 @@ impl DrumKernel {
             .then_some(DrumKernel { fragment })
     }
 
-    /// One scalar lane — bit-identical to the monomorphic loop of
-    /// `realm_baselines::Drum::multiply_batch`.
+    /// One scalar lane — bit-identical to `realm_baselines::Drum::multiply`.
     #[inline]
     pub fn lane(&self, a: u64, b: u64) -> u64 {
         if a == 0 || b == 0 {
@@ -278,10 +276,8 @@ impl<'a> RealmKernel<'a> {
         })
     }
 
-    /// One scalar lane — bit-identical to the narrow monomorphic loop
-    /// of `realm_core::Realm::multiply_batch` (and therefore to the
-    /// scalar `multiply` datapath, which the core test suite proves
-    /// exhaustively).
+    /// One scalar lane — bit-identical to `realm_core::Realm::multiply`,
+    /// which the registry conformance suite proves at every REALM point.
     #[inline]
     pub fn lane(&self, a: u64, b: u64) -> u64 {
         let (a, b) = (a & self.mask, b & self.mask);

@@ -30,7 +30,7 @@ pub use log_family::{
 
 use realm_baselines::catalog::{self, DesignSpec};
 use realm_baselines::{AlmAdder, AmRecovery, IntAlp};
-use realm_core::{Multiplier, Realm};
+use realm_core::{ConfigError, Multiplier, Realm};
 
 use crate::blocks::multiplier::wallace_netlist;
 use crate::netlist::Netlist;
@@ -45,20 +45,21 @@ pub struct DesignPair {
 }
 
 /// The gate-level netlist of a design point, from its family's
-/// generator.
+/// generator. Every spec that builds has one.
 ///
-/// # Panics
+/// # Errors
 ///
-/// On a spec whose [`DesignSpec::build`] fails, and on the few buildable
-/// points a generator does not cover (`mbm_netlist(8, t ≥ 2)`, REALM
-/// with `7 − t < q`). Every slate row has a netlist.
-pub fn netlist(spec: &DesignSpec) -> Netlist {
-    match *spec {
+/// The [`ConfigError`] of a spec whose [`DesignSpec::build`] fails.
+pub fn netlist(spec: &DesignSpec) -> Result<Netlist, ConfigError> {
+    // REALM's and IntALP's generators read the model they build below;
+    // the others take the widths and keys their model's constructor
+    // checks.
+    if !matches!(spec, DesignSpec::Realm(_) | DesignSpec::IntAlp { .. }) {
+        spec.build()?;
+    }
+    Ok(match *spec {
         DesignSpec::Accurate { w } => wallace_netlist(w),
-        DesignSpec::Realm(config) => match Realm::new(config) {
-            Ok(realm) => realm_netlist(&realm),
-            Err(e) => panic!("no netlist for invalid design {spec}: {e}"),
-        },
+        DesignSpec::Realm(config) => realm_netlist(&Realm::new(config)?),
         DesignSpec::Calm { w } => calm_netlist(w),
         DesignSpec::AlmMaa { w, m } => alm_netlist(w, AlmAdder::Maa.lower_part(), m),
         DesignSpec::AlmSoa { w, m } => alm_netlist(w, AlmAdder::Soa.lower_part(), m),
@@ -66,17 +67,14 @@ pub fn netlist(spec: &DesignSpec) -> Netlist {
         DesignSpec::Mbm { w, t } => mbm_netlist(w, t),
         DesignSpec::Am1 { w, nb } => am_netlist(w, AmRecovery::Or, nb),
         DesignSpec::Am2 { w, nb } => am_netlist(w, AmRecovery::Sum, nb),
-        DesignSpec::IntAlp { w, l } => match IntAlp::new(w, l) {
-            Ok(intalp) => intalp_netlist(&intalp),
-            Err(e) => panic!("no netlist for invalid design {spec}: {e}"),
-        },
+        DesignSpec::IntAlp { w, l } => intalp_netlist(&IntAlp::new(w, l)?),
         DesignSpec::Drum { w, k } => drum_netlist(w, k),
         DesignSpec::Ssm { w, s } => ssm_netlist(w, s),
         DesignSpec::Essm8 { .. } => essm8_netlist(),
         DesignSpec::ScaleTrim { w, t, c } => scaletrim_netlist(w, t, c),
         DesignSpec::Ilm { w, i } => ilm_netlist(w, i),
         DesignSpec::Kulkarni { w } => kulkarni_netlist(w),
-    }
+    })
 }
 
 /// The behavioural-model + netlist pair of every Table I row
@@ -87,11 +85,17 @@ pub fn table1_pairs() -> Vec<DesignPair> {
         .filter_map(|spec| {
             Some(DesignPair {
                 model: spec.build().ok()?,
-                netlist: netlist(spec),
+                netlist: netlist(spec).ok()?,
             })
         })
         .collect()
 }
+
+/// The conformance suite's spec list, shared with
+/// `crates/baselines/tests/conformance`.
+#[cfg(test)]
+#[path = "../../../baselines/tests/conformance/specs.rs"]
+mod specs;
 
 #[cfg(test)]
 mod tests {
@@ -103,7 +107,42 @@ mod tests {
         for family in FAMILIES {
             let spec = DesignSpec::parse(family.name).unwrap();
             let model = spec.build().unwrap();
-            verify::assert_equivalent(model.as_ref(), &netlist(&spec), 64);
+            verify::assert_equivalent(model.as_ref(), &netlist(&spec).unwrap(), 64);
+        }
+    }
+
+    /// Every 8-bit point of the conformance suite's spec list: netlist ≡
+    /// model on all 65536 pairs, the points split over the host's
+    /// threads.
+    #[test]
+    fn every_buildable_8bit_point_has_a_netlist_equal_to_its_model() {
+        let mut points = specs::points();
+        points.retain(|(_, model)| model.width() == 8);
+        assert_eq!(points.len(), 92);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::thread::scope(|scope| {
+            for part in points.chunks(points.len().div_ceil(threads)) {
+                scope.spawn(move || {
+                    for (spec, model) in part {
+                        let netlist = netlist(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+                        verify::assert_exhaustive8(model.as_ref(), &netlist);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_spec_that_does_not_build_has_no_netlist() {
+        for text in [
+            "calm@100",
+            "essm8@8",
+            "realm@8:t=7",
+            "intalp:l=3",
+            "kulkarni@12",
+        ] {
+            let spec = DesignSpec::parse(text).unwrap();
+            assert!(netlist(&spec).is_err(), "{text}");
         }
     }
 }
@@ -121,28 +160,39 @@ pub(crate) mod verify {
 
     /// Asserts netlist ≡ behavioural model on all 65536 operand pairs of
     /// an 8-bit design, 64 pairs per word-parallel pass: pair `i` is
-    /// `(a, b) = (i & 0xFF, i >> 8)`.
+    /// `(a, b) = (i & 0xFF, i >> 8)`. Each pass compares the model's 64
+    /// products with the product bus bit by bit, one word per bit.
     pub fn assert_exhaustive8(model: &dyn Multiplier, netlist: &Netlist) {
         assert_eq!(model.width(), 8, "{}", netlist.name());
         let a_bus = bus(netlist.inputs(), "a");
         let b_bus = bus(netlist.inputs(), "b");
         let p_bus = bus(netlist.outputs(), "p");
         let mut words = vec![0; netlist.net_count()];
+        let mut want = [0; LANES];
         for first in (0..1u64 << 16).step_by(LANES) {
-            let pairs = first..first + LANES as u64;
-            let a: Vec<u64> = pairs.clone().map(|i| i & 0xFF).collect();
-            let b: Vec<u64> = pairs.map(|i| i >> 8).collect();
+            let a: Vec<u64> = (first..first + LANES as u64).map(|i| i & 0xFF).collect();
             set_lanes(&mut words, a_bus, &a);
-            set_lanes(&mut words, b_bus, &b);
+            set_lanes(&mut words, b_bus, &[first >> 8; LANES]);
             netlist.eval_words(&mut words, None);
-            for (lane, (&a, &b)) in a.iter().zip(&b).enumerate() {
-                let got = read_lane(&words, p_bus, lane);
-                assert_eq!(
-                    got,
-                    model.multiply(a, b),
-                    "{} at ({a}, {b})",
-                    netlist.name()
-                );
+            for (lane, product) in want.iter_mut().enumerate() {
+                *product = model.multiply(a[lane], first >> 8);
+            }
+            for (bit, net) in p_bus.iter().enumerate() {
+                let mut expected = 0;
+                for (lane, product) in want.iter().enumerate() {
+                    expected |= (product >> bit & 1) << lane;
+                }
+                let wrong = words[net.index()] ^ expected;
+                if wrong != 0 {
+                    let lane = wrong.trailing_zeros() as usize;
+                    let (a, b) = (a[lane], first >> 8);
+                    let got = read_lane(&words, p_bus, lane);
+                    panic!(
+                        "{} at ({a}, {b}): netlist {got}, model {}",
+                        netlist.name(),
+                        want[lane]
+                    );
+                }
             }
         }
     }
