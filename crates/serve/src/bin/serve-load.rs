@@ -1,7 +1,8 @@
 //! Load generator for the campaign service: drives hundreds of
 //! concurrent clients against a realm-serve instance and writes a
 //! `BENCH_serve.json` with latency percentiles, throughput and the
-//! observed shed rate.
+//! observed shed rate (plus, against its own in-process server, the
+//! server's requests per completed job).
 //!
 //! ```text
 //! # self-contained: starts an in-process server, floods it, reports
@@ -223,6 +224,15 @@ fn main() {
         shed as f64 / attempts as f64
     };
     let throughput = completed as f64 / elapsed.as_secs_f64();
+    // An in-process server also reports what each completed job cost it
+    // in requests: submits (shed ones too) plus status polls.
+    let requests_per_job = match &own_server {
+        Some(server) => format!(
+            ",\n  \"requests_per_job\": {:.2}",
+            server.registry().counter("requests_total") as f64 / completed.max(1) as f64
+        ),
+        None => String::new(),
+    };
 
     let report = format!(
         "{{\n  \"schema\": \"realm-serve/bench/v1\",\n  \"clients\": {},\n  \
@@ -232,7 +242,7 @@ fn main() {
          \"not_completed\": {},\n  \"transport_errors\": {},\n  \
          \"throughput_jobs_per_s\": {throughput:.2},\n  \
          \"submit_latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}},\n  \
-         \"e2e_latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}\n}}\n",
+         \"e2e_latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}{requests_per_job}\n}}\n",
         opts.clients,
         opts.jobs_per_client,
         opts.samples,

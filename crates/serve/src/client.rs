@@ -43,9 +43,13 @@ pub fn http_request(
 }
 
 /// Polls `GET /jobs/<id>` until the job reaches a terminal state (or
-/// the deadline passes), returning the final state string.
+/// the deadline passes), returning the final state string. The pause
+/// between polls starts at 1 ms and doubles up to 20 ms: a short job is
+/// seen done within a millisecond or two of finishing, a long one costs
+/// one request per 20 ms.
 pub fn wait_terminal(addr: SocketAddr, id: u64, deadline: Duration) -> io::Result<String> {
     let start = std::time::Instant::now();
+    let mut pause = Duration::from_millis(1);
     loop {
         let (status, body) = http_request(addr, "GET", &format!("/jobs/{id}"), None)?;
         if status == 200 {
@@ -58,7 +62,8 @@ pub fn wait_terminal(addr: SocketAddr, id: u64, deadline: Duration) -> io::Resul
         if start.elapsed() > deadline {
             return Err(io::Error::other(format!("job {id} not terminal: {body}")));
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(Duration::from_millis(20));
     }
 }
 

@@ -4,33 +4,38 @@
 //!
 //! # Threading model
 //!
-//! * `http_threads` acceptor threads share one non-blocking listener;
-//!   each serves one connection at a time (`Connection: close`). A
-//!   panic while answering a request is caught per connection: the
-//!   client gets a 500, `http_panics_total` counts it, and the acceptor
-//!   goes on serving.
+//! * `http_threads` acceptor threads block in `accept()` on one shared
+//!   listener; each serves one connection at a time (`Connection:
+//!   close`). A panic while answering a request is caught per
+//!   connection: the client gets a 500, `http_panics_total` counts it,
+//!   and the acceptor goes on serving.
 //! * `workers` worker threads block on the [`AdmissionQueue`] and run
 //!   one job at a time; each job gets its own supervisor (and may use
-//!   `job_threads` chunk threads of its own).
+//!   `job_threads` chunk threads of its own). A panic in a job attempt
+//!   outside its supervised chunks is caught per attempt:
+//!   `job_panics_total` counts it, and the job takes the retry /
+//!   dead-letter path a failed run takes.
 //! * Shutdown: the cancel token stops running supervisors at their next
 //!   chunk boundary (checkpointed), the queue closes (workers drain
-//!   out, admission 503s), then the acceptors stop and the metrics
-//!   summary is flushed.
+//!   out, admission 503s), then `accepting` is cleared and each
+//!   acceptor is woken by a connection to the listener's own address
+//!   (loopback for an unspecified bind), and the metrics summary is
+//!   flushed.
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use realm_harness::{atomic_write_str, discover, Backoff, CancelToken, StopCause, Supervisor};
 use realm_metrics::{ErrorSla, ErrorSummary};
 use realm_obs::{json_string, Collector, Event, Fanout, JsonlSink, Registry};
-use realm_par::Threads;
+use realm_par::{panic_message, Threads};
 use realm_qos::{Action, Controller, ControllerConfig, Observation, QosTable, TableConfig};
 
 use crate::http::{read_request, ParseError, Request, Response};
@@ -129,10 +134,16 @@ struct State {
     /// test have a worker finish the job first.
     #[cfg(test)]
     after_admit: Mutex<Option<AdmitHook>>,
+    /// Runs in `run_job` right before `finish`: lets a test panic an
+    /// attempt outside its supervised chunks.
+    #[cfg(test)]
+    before_finish: Mutex<Option<FinishHook>>,
 }
 
 #[cfg(test)]
 type AdmitHook = Box<dyn Fn(&State) + Send>;
+#[cfg(test)]
+type FinishHook = Box<dyn Fn(&State, &Job, &Terminal) + Send>;
 
 /// Per-tenant error-budget bookkeeping: the characterized table (lazy,
 /// persisted as `<dir>/qos_tables.json`) plus one SLA controller per
@@ -161,15 +172,29 @@ fn qos_table_config() -> TableConfig {
 }
 
 impl State {
+    /// The job views, also after a panic poisoned their lock (a caught
+    /// panic in a request handler leaves the process running). Every
+    /// section under this lock inserts, removes, replaces or reads one
+    /// whole view, so a panic inside it leaves no half-written entry.
+    /// The queue, ledger and QoS locks stay strict: their sections edit
+    /// several linked fields (tenant lanes and counts, a journal file
+    /// and its offset, a controller's rung and history) that a panic can
+    /// leave out of step, so refusing is safer there than reading on.
+    fn jobs(&self) -> MutexGuard<'_, BTreeMap<JobId, JobView>> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn view(&self, id: JobId) -> Option<JobView> {
-        self.jobs.lock().ok()?.get(&id).cloned()
+        self.jobs().get(&id).cloned()
     }
 
     fn update(&self, id: JobId, f: impl FnOnce(&mut JobView)) {
-        if let Ok(mut jobs) = self.jobs.lock() {
-            if let Some(view) = jobs.get_mut(&id) {
-                f(view);
-            }
+        if let Some(view) = self.jobs().get_mut(&id) {
+            // Edit a copy and store it whole: a panic inside `f` leaves
+            // the view as it was.
+            let mut next = view.clone();
+            f(&mut next);
+            *view = next;
         }
     }
 
@@ -321,13 +346,16 @@ impl Server {
             qos: Mutex::new(QosRuntime::default()),
             #[cfg(test)]
             after_admit: Mutex::new(None),
+            #[cfg(test)]
+            before_finish: Mutex::new(None),
             config,
         });
 
         // Replay terminal jobs so /jobs/<id> and /result survive
         // restarts, and sweep their leftover campaign journals (a crash
         // between record_done and journal removal leaves one behind).
-        if let Ok(mut jobs) = state.jobs.lock() {
+        {
+            let mut jobs = state.jobs();
             for (job, terminal) in &recovered.terminal {
                 jobs.insert(
                     job.id,
@@ -380,7 +408,6 @@ impl Server {
         }
 
         let listener = TcpListener::bind(&state.config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         atomic_write_str(&dir.join("serve.addr"), &format!("{addr}\n"))?;
 
@@ -431,15 +458,22 @@ impl Server {
         self.state.refresh_gauges();
     }
 
-    /// Drains, joins every thread, and flushes the metrics summary.
+    /// Drains, joins the workers, wakes and joins the acceptors (one
+    /// still held after a bounded number of wake rounds is detached),
+    /// and flushes the metrics summary.
     pub fn shutdown(self) -> io::Result<()> {
         self.drain();
         for worker in self.workers {
             let _ = worker.join();
         }
         self.state.accepting.store(false, Ordering::SeqCst);
+        wake_acceptors(self.addr, &self.acceptors);
+        // An acceptor still parked after every wake attempt is left
+        // behind (detached) rather than joined: shutdown must not hang.
         for acceptor in self.acceptors {
-            let _ = acceptor.join();
+            if acceptor.is_finished() {
+                let _ = acceptor.join();
+            }
         }
         self.state.refresh_gauges();
         atomic_write_str(
@@ -457,7 +491,20 @@ impl Server {
 fn worker_loop(state: &Arc<State>) {
     while let Some(job) = state.queue.pop() {
         state.running.fetch_add(1, Ordering::Relaxed);
-        run_job(state, job);
+        let retry = job.clone();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_job(state, job))) {
+            state.registry.incr("job_panics_total", 1);
+            // `finish` makes the view terminal right after the done
+            // record is durable: such a job is over and must not run
+            // again.
+            let done = state
+                .view(retry.id)
+                .is_some_and(|view| view.state.is_terminal());
+            if !done {
+                let failure = format!("panicked: {}", panic_message(payload.as_ref()));
+                retry_or_dead_letter(state, retry, &failure);
+            }
+        }
         state.running.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -465,7 +512,7 @@ fn worker_loop(state: &Arc<State>) {
 /// Runs one job attempt end to end and routes the outcome: complete,
 /// retry with backoff, dead-letter, terminal failure, or "shutdown —
 /// leave for the next start".
-fn run_job(state: &Arc<State>, mut job: Job) {
+fn run_job(state: &State, job: Job) {
     state.update(job.id, |view| {
         view.state = JobState::Running;
         view.attempts = job.attempts + 1;
@@ -507,81 +554,81 @@ fn run_job(state: &Arc<State>, mut job: Job) {
         let _ = sink.finish();
     }
 
-    let failure = match outcome {
-        Ok(run) => {
-            if run.report.stopped == Some(StopCause::Cancelled) {
-                // Drain: the job's completed chunks are journaled; the
-                // accepted ledger still holds it; the next start
-                // re-queues and resumes it bit-identically.
-                state.update(job.id, |view| {
-                    view.state = JobState::Queued;
-                    view.detail = "draining; will resume on next start".into();
-                });
-                return;
-            }
-            if run.report.stopped == Some(StopCause::Deadline) {
-                // Deadlines are promises to the client, not retryable.
-                finish(
-                    state,
-                    &job,
-                    Terminal {
-                        state: JobState::Failed,
-                        detail: format!(
-                            "deadline exceeded with {} of {} chunks pending",
-                            run.report.pending_chunks(),
-                            run.report.total_chunks
-                        ),
-                        result: None,
-                    },
-                );
-                return;
-            }
-            match (&run.value, run.report.is_complete()) {
-                (Some(summary), true) => {
-                    if let Some(sla) = job.request.spec.error_sla {
-                        // NMED is a population metric the per-job summary
-                        // does not carry; score the components the run
-                        // actually measured.
-                        let met = sla.mean.is_none_or(|limit| summary.mean_error <= limit)
-                            && sla.peak.is_none_or(|limit| summary.peak_error() <= limit);
-                        state.registry.incr(
-                            if met {
-                                "sla_jobs_met_total"
-                            } else {
-                                "sla_jobs_violated_total"
-                            },
-                            1,
-                        );
-                        state.qos_observe(&job.request.tenant, &job.request.spec.design, summary);
-                    }
-                    finish(
-                        state,
-                        &job,
-                        Terminal {
-                            state: JobState::Completed,
-                            detail: String::new(),
-                            result: Some(result_json(&job.request.spec, summary)),
-                        },
-                    );
-                    return;
-                }
-                _ => {
-                    let quarantined: Vec<String> = run
-                        .report
-                        .quarantined
-                        .iter()
-                        .map(|q| q.to_string())
-                        .collect();
-                    format!("incomplete run: {}", quarantined.join("; "))
-                }
-            }
-        }
-        Err(e) => format!("execution error: {e}"),
+    let run = match outcome {
+        Ok(run) => run,
+        Err(e) => return retry_or_dead_letter(state, job, &format!("execution error: {e}")),
     };
+    let terminal = if run.report.stopped == Some(StopCause::Cancelled) {
+        // Drain: the job's completed chunks are journaled; the accepted
+        // ledger still holds it; the next start re-queues and resumes it
+        // bit-identically.
+        state.update(job.id, |view| {
+            view.state = JobState::Queued;
+            view.detail = "draining; will resume on next start".into();
+        });
+        return;
+    } else if run.report.stopped == Some(StopCause::Deadline) {
+        // Deadlines are promises to the client, not retryable.
+        Terminal {
+            state: JobState::Failed,
+            detail: format!(
+                "deadline exceeded with {} of {} chunks pending",
+                run.report.pending_chunks(),
+                run.report.total_chunks
+            ),
+            result: None,
+        }
+    } else if let (Some(summary), true) = (&run.value, run.report.is_complete()) {
+        if let Some(sla) = job.request.spec.error_sla {
+            // NMED is a population metric the per-job summary does not
+            // carry; score the components the run actually measured.
+            let met = sla.mean.is_none_or(|limit| summary.mean_error <= limit)
+                && sla.peak.is_none_or(|limit| summary.peak_error() <= limit);
+            state.registry.incr(
+                if met {
+                    "sla_jobs_met_total"
+                } else {
+                    "sla_jobs_violated_total"
+                },
+                1,
+            );
+            state.qos_observe(&job.request.tenant, &job.request.spec.design, summary);
+        }
+        Terminal {
+            state: JobState::Completed,
+            detail: String::new(),
+            result: Some(result_json(&job.request.spec, summary)),
+        }
+    } else {
+        let quarantined: Vec<String> = run
+            .report
+            .quarantined
+            .iter()
+            .map(|q| q.to_string())
+            .collect();
+        let failure = format!("incomplete run: {}", quarantined.join("; "));
+        return retry_or_dead_letter(state, job, &failure);
+    };
+    #[cfg(test)]
+    if let Some(hook) = state
+        .before_finish
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .as_ref()
+    {
+        // The hook's own panics poison this lock; it must fire again.
+        hook(state, &job, &terminal);
+    }
+    finish(state, &job, terminal);
+}
 
-    // Failure path: retry with backoff until the budget runs out.
+/// The tail of a failed attempt, whether the run ended incomplete or
+/// the attempt panicked: back into the queue after a backoff while the
+/// job's retry budget lasts, dead-lettered after that.
+fn retry_or_dead_letter(state: &State, mut job: Job, failure: &str) {
     job.attempts += 1;
     if job.attempts <= job.request.max_retries {
+        let config = &state.config;
         let backoff = Backoff::new(config.backoff_base, config.backoff_max).with_seed(job.id);
         let delay = backoff.delay(job.attempts);
         state.registry.incr("jobs_retried_total", 1);
@@ -612,8 +659,11 @@ fn run_job(state: &Arc<State>, mut job: Job) {
 }
 
 /// Records a terminal transition: done ledger first (durability), then
-/// the in-memory view, then journal cleanup and metrics.
-fn finish(state: &Arc<State>, job: &Job, terminal: Terminal) {
+/// its counter and the in-memory view, then journal cleanup. Only the
+/// counter (which cannot panic) sits between the ledger write and the
+/// view, so a view is terminal exactly when its outcome is durable: the
+/// worker's panic guard relies on it.
+fn finish(state: &State, job: &Job, terminal: Terminal) {
     if let Err(e) = state.ledgers.record_done(job.id, &terminal) {
         // The outcome could not be made durable; leave the job
         // incomplete so the next start re-runs it (bit-identical).
@@ -629,26 +679,69 @@ fn finish(state: &Arc<State>, job: &Job, terminal: Terminal) {
         _ => "jobs_dead_letter_total",
     };
     state.registry.incr(metric, 1);
-    if terminal.state != JobState::DeadLetter {
-        state.remove_job_journal(job);
-    }
     state.update(job.id, |view| {
         view.state = terminal.state;
         view.detail = terminal.detail.clone();
         view.result = terminal.result.clone();
     });
+    if terminal.state != JobState::DeadLetter {
+        state.remove_job_journal(job);
+    }
     state.refresh_gauges();
 }
 
+/// Blocks in `accept()` and serves each connection; returns on the first
+/// connection (or accept error) seen after shutdown clears `accepting`.
 fn accept_loop(state: &Arc<State>, listener: &TcpListener) {
-    while state.accepting.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if !state.accepting.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => serve_connection(state, stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // EMFILE and the like: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
+    }
+}
+
+/// Rounds of wake connections [`wake_acceptors`] makes before it gives
+/// up on the acceptors still alive.
+const WAKE_ROUNDS: u32 = 100;
+
+/// Where a connection to a listener bound at `addr` goes: the address
+/// itself, or loopback for an unspecified bind (`0.0.0.0`, `::`).
+fn wake_target(addr: SocketAddr) -> SocketAddr {
+    let mut target = addr;
+    if addr.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    target
+}
+
+/// Wakes every acceptor parked in `accept()` once `accepting` is false:
+/// each connection to the listener's own address releases one of them.
+/// Rounds repeat, one connection per acceptor still alive, until all
+/// have finished. After [`WAKE_ROUNDS`] the rest are given up on: one
+/// that a slow client holds exits on a leftover wake connection once it
+/// is done, and a listener the wake cannot reach must not hang shutdown.
+fn wake_acceptors(addr: SocketAddr, acceptors: &[JoinHandle<()>]) {
+    let target = wake_target(addr);
+    for _ in 0..WAKE_ROUNDS {
+        let alive = acceptors.iter().filter(|a| !a.is_finished()).count();
+        if alive == 0 {
+            return;
+        }
+        for _ in 0..alive {
+            // A local connect completes in microseconds; a timeout
+            // means the SYN was dropped.
+            let _ = TcpStream::connect_timeout(&target, Duration::from_millis(20));
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -751,9 +844,7 @@ fn submit(state: &Arc<State>, body: &[u8]) -> Response {
     // The view goes in before admission: an admitted job can run to
     // completion before this thread runs again, and the worker's status
     // updates must find the view. A job that is not admitted loses it.
-    if let Ok(mut jobs) = state.jobs.lock() {
-        jobs.insert(id, view);
-    }
+    state.jobs().insert(id, view);
     // Journal-before-ack: the ledger append (fsync) runs inside the
     // admission decision, so a 202 implies the job survives a crash.
     let admitted = state
@@ -766,9 +857,7 @@ fn submit(state: &Arc<State>, body: &[u8]) -> Response {
         }
     }
     if admitted.is_err() {
-        if let Ok(mut jobs) = state.jobs.lock() {
-            jobs.remove(&id);
-        }
+        state.jobs().remove(&id);
     }
     match admitted {
         Ok(()) => {
@@ -798,14 +887,12 @@ fn submit(state: &Arc<State>, body: &[u8]) -> Response {
 }
 
 fn list_jobs(state: &Arc<State>) -> Response {
-    let rendered = match state.jobs.lock() {
-        Ok(jobs) => jobs
-            .iter()
-            .map(|(id, view)| view.to_json(*id))
-            .collect::<Vec<_>>()
-            .join(","),
-        Err(_) => String::new(),
-    };
+    let rendered = state
+        .jobs()
+        .iter()
+        .map(|(id, view)| view.to_json(*id))
+        .collect::<Vec<_>>()
+        .join(",");
     Response::json(
         200,
         format!(
@@ -847,21 +934,76 @@ mod tests {
     use crate::client::{http_request, wait_terminal};
     use std::time::Instant;
 
-    fn start(name: &str) -> (Server, PathBuf) {
+    /// Starts `config` on a fresh directory named after the test.
+    fn start_with(name: &str, config: ServeConfig) -> (Server, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("realm-serve-unit-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let server = Server::start(ServeConfig {
             dir: dir.clone(),
-            workers: 1,
-            http_threads: 1,
-            ..ServeConfig::default()
+            ..config
         })
         .unwrap();
         (server, dir)
     }
 
+    /// One worker, one acceptor, and a 1 ms job retry backoff.
+    fn start(name: &str) -> (Server, PathBuf) {
+        start_with(
+            name,
+            ServeConfig {
+                workers: 1,
+                http_threads: 1,
+                backoff_base: Duration::from_millis(1),
+                ..ServeConfig::default()
+            },
+        )
+    }
+
     const JOB: &str = r#"{"tenant":"t","design":"accurate","samples":256,"seed":3}"#;
+
+    fn view(server: &Server, id: JobId) -> String {
+        let (status, view) =
+            http_request(server.addr(), "GET", &format!("/jobs/{id}"), None).unwrap();
+        assert_eq!(status, 200, "{view}");
+        view
+    }
+
+    /// Waits (up to 30 s) until no worker is inside a job attempt or its
+    /// panic guard.
+    fn wait_idle(server: &Server) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.state.running.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Panics the job's attempts before `finish` while `panics(job)`.
+    fn panic_before_finish(server: &Server, panics: impl Fn(&Job) -> bool + Send + 'static) {
+        *server.state.before_finish.lock().unwrap() =
+            Some(Box::new(move |_: &State, job: &Job, _: &Terminal| {
+                if panics(job) {
+                    panic!("injected panic before finish");
+                }
+            }));
+    }
+
+    /// Runs `shutdown` on a helper thread and fails, instead of hanging,
+    /// unless it returns within 5 s with every thread gone: each worker
+    /// and acceptor holds a clone of the state until it exits.
+    fn shutdown_within_5s(server: Server) {
+        let state = server.state.clone();
+        let (done, wait) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = done.send(server.shutdown());
+        });
+        match wait.recv_timeout(Duration::from_secs(5)) {
+            Ok(result) => result.unwrap(),
+            Err(e) => panic!("shutdown did not return within 5 s: {e}"),
+        }
+        helper.join().unwrap();
+        assert_eq!(Arc::strong_count(&state), 1, "a thread outlived shutdown");
+    }
 
     #[test]
     fn a_job_that_finishes_before_submit_replies_still_completes() {
@@ -923,5 +1065,152 @@ mod tests {
         assert!(list.starts_with(r#"{"jobs":[]"#), "{list}");
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_job_whose_attempt_panics_once_is_retried_and_completes() {
+        let (server, dir) = start("panic-once");
+        let fired = AtomicBool::new(false);
+        panic_before_finish(&server, move |_| !fired.swap(true, Ordering::SeqCst));
+        let (status, reply) = http_request(server.addr(), "POST", "/jobs", Some(JOB)).unwrap();
+        assert_eq!(status, 202, "{reply}");
+        let state = wait_terminal(server.addr(), 0, Duration::from_secs(30)).unwrap();
+        assert_eq!(state, "completed", "{}", view(&server, 0));
+        assert!(view(&server, 0).contains(r#""attempts":2"#));
+        let (status, result) = http_request(server.addr(), "GET", "/jobs/0/result", None).unwrap();
+        assert_eq!(status, 200, "{result}");
+        assert_eq!(server.registry().counter("job_panics_total"), 1);
+        assert_eq!(server.registry().counter("jobs_retried_total"), 1);
+        assert_eq!(server.registry().counter("jobs_completed_total"), 1);
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_job_whose_attempts_always_panic_is_dead_lettered() {
+        let (server, dir) = start("panic-always");
+        panic_before_finish(&server, |_| true);
+        let job = r#"{"tenant":"t","design":"accurate","samples":256,"seed":3,"max_retries":0}"#;
+        let (status, reply) = http_request(server.addr(), "POST", "/jobs", Some(job)).unwrap();
+        assert_eq!(status, 202, "{reply}");
+        let state = wait_terminal(server.addr(), 0, Duration::from_secs(30)).unwrap();
+        assert_eq!(state, "dead_letter");
+        assert!(
+            view(&server, 0).contains("injected panic before finish"),
+            "{}",
+            view(&server, 0)
+        );
+        let (status, _) = http_request(server.addr(), "GET", "/jobs/0/result", None).unwrap();
+        assert_eq!(status, 409);
+        assert_eq!(server.registry().counter("job_panics_total"), 1);
+        assert_eq!(server.registry().counter("jobs_dead_letter_total"), 1);
+        wait_idle(&server);
+        let (_, health) = http_request(server.addr(), "GET", "/healthz", None).unwrap();
+        assert!(health.contains(r#""jobs_running":0"#), "{health}");
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn the_only_worker_survives_a_panicking_job() {
+        let (server, dir) = start("panic-worker");
+        assert_eq!(server.state.config.workers, 1);
+        panic_before_finish(&server, |job| job.id == 0);
+        let job = r#"{"tenant":"t","design":"accurate","samples":256,"seed":3,"max_retries":0}"#;
+        for id in 0..2 {
+            let (status, reply) = http_request(server.addr(), "POST", "/jobs", Some(job)).unwrap();
+            assert_eq!(status, 202, "{reply}");
+            assert!(reply.contains(&format!(r#""id":{id}"#)), "{reply}");
+        }
+        let state = wait_terminal(server.addr(), 0, Duration::from_secs(30)).unwrap();
+        assert_eq!(state, "dead_letter");
+        let state = wait_terminal(server.addr(), 1, Duration::from_secs(30)).unwrap();
+        assert_eq!(state, "completed", "{}", view(&server, 1));
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_panic_after_the_done_record_does_not_run_the_job_again() {
+        let (server, dir) = start("panic-durable");
+        // Make the outcome durable the way `finish` does, then panic.
+        *server.state.before_finish.lock().unwrap() =
+            Some(Box::new(|state: &State, job: &Job, terminal: &Terminal| {
+                if state.registry.counter("jobs_completed_total") == 0 {
+                    finish(state, job, terminal.clone());
+                    panic!("injected panic after the done record");
+                }
+            }));
+        let (status, reply) = http_request(server.addr(), "POST", "/jobs", Some(JOB)).unwrap();
+        assert_eq!(status, 202, "{reply}");
+        let state = wait_terminal(server.addr(), 0, Duration::from_secs(30)).unwrap();
+        assert_eq!(state, "completed");
+        // Let the worker's guard run to its end before reading counters.
+        wait_idle(&server);
+        assert_eq!(server.registry().counter("job_panics_total"), 1);
+        assert_eq!(server.registry().counter("jobs_retried_total"), 0);
+        assert_eq!(server.registry().counter("jobs_completed_total"), 1);
+        assert!(view(&server, 0).contains(r#""attempts":1"#));
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_poisoned_job_map_still_tracks_and_answers_jobs() {
+        let (server, dir) = start("poisoned-views");
+        let state = server.state.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _jobs = state.jobs.lock();
+            panic!("injected panic while holding the job views");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.state.jobs.is_poisoned());
+        let (status, reply) = http_request(server.addr(), "POST", "/jobs", Some(JOB)).unwrap();
+        assert_eq!(status, 202, "{reply}");
+        let state = wait_terminal(server.addr(), 0, Duration::from_secs(30)).unwrap();
+        assert_eq!(state, "completed");
+        let (status, result) = http_request(server.addr(), "GET", "/jobs/0/result", None).unwrap();
+        assert_eq!(status, 200, "{result}");
+        let (_, list) = http_request(server.addr(), "GET", "/jobs", None).unwrap();
+        assert!(list.contains(r#""state":"completed""#), "{list}");
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn shutdown_wakes_idle_acceptors() {
+        let (server, dir) = start_with(
+            "wake-idle",
+            ServeConfig {
+                http_threads: 4,
+                ..ServeConfig::default()
+            },
+        );
+        shutdown_within_5s(server);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn shutdown_wakes_acceptors_bound_to_an_unspecified_address() {
+        let (server, dir) = start_with(
+            "wake-unspecified",
+            ServeConfig {
+                addr: "0.0.0.0:0".into(),
+                http_threads: 4,
+                ..ServeConfig::default()
+            },
+        );
+        assert!(server.addr().ip().is_unspecified());
+        shutdown_within_5s(server);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn wake_connections_go_to_loopback_for_an_unspecified_bind() {
+        let target = |addr: &str| wake_target(addr.parse().unwrap()).to_string();
+        assert_eq!(target("0.0.0.0:8787"), "127.0.0.1:8787");
+        assert_eq!(target("[::]:8787"), "[::1]:8787");
+        assert_eq!(target("127.0.0.1:8787"), "127.0.0.1:8787");
+        assert_eq!(target("10.1.2.3:8787"), "10.1.2.3:8787");
     }
 }
