@@ -18,7 +18,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use realm_baselines::{Calm, Drum, Mbm, Ssm};
 use realm_bench::{Driver, Options, OrDie};
 use realm_core::float::{ApproxFloat, FloatFormat};
 use realm_core::mse::mse_table;
@@ -28,7 +27,7 @@ use realm_dsp::fir::{output_snr, FirFilter};
 use realm_dsp::mlp::{dataset, Mlp};
 use realm_jpeg::{psnr, Image};
 use realm_metrics::breakdown::interval_mean_spread;
-use realm_metrics::{BreakdownWorkload, DistanceWorkload, Engine, MonteCarlo};
+use realm_metrics::{parse_design, BreakdownWorkload, DistanceWorkload, Engine, MonteCarlo};
 
 fn main() {
     let mut opts = Options::from_env();
@@ -38,6 +37,7 @@ fn main() {
     let campaign = MonteCarlo::new(opts.samples, opts.seed);
     let driver = Driver::new(opts);
     let opts = &driver.opts;
+    let build = |text: &str| parse_design(text).or_die("paper design point");
     let measure = |design: &dyn Multiplier, what: &str| {
         let sup = driver.run(what, || {
             campaign.characterize_supervised(design, driver.supervisor())
@@ -73,15 +73,15 @@ fn main() {
     }
 
     println!("\nExtension 2 — absolute-error metrics (NMED / worst-case, x10^-4):");
-    let reps: Vec<Box<dyn Multiplier>> = vec![
-        Box::new(Realm::new(RealmConfig::n16(16, 0)).or_die("paper design point")),
-        Box::new(Realm::new(RealmConfig::n16(4, 0)).or_die("paper design point")),
-        Box::new(Calm::new(16)),
-        Box::new(Mbm::new(16, 0).or_die("paper design point")),
-        Box::new(Drum::new(16, 6).or_die("paper design point")),
-        Box::new(Ssm::new(16, 8).or_die("paper design point")),
+    let reps = [
+        "realm:m=16,t=0",
+        "realm:m=4,t=0",
+        "calm",
+        "mbm:t=0",
+        "drum:k=6",
+        "ssm:s=8",
     ];
-    for design in &reps {
+    for design in reps.map(build) {
         use realm_core::multiplier::MultiplierExt;
         let sup = driver.run("distance campaign", || {
             Engine::supervised(
@@ -99,15 +99,11 @@ fn main() {
     }
 
     println!("\nExtension 3 — per-interval mean error (Eq. 12 interval-independence):");
-    let realm = Realm::new(RealmConfig::n16(8, 0)).or_die("paper design point");
-    let ssm = Ssm::new(16, 8).or_die("paper design point");
-    for (label, design) in [
-        ("REALM8", &realm as &dyn Multiplier),
-        ("SSM m=8", &ssm as &dyn Multiplier),
-    ] {
+    for (label, text) in [("REALM8", "realm:m=8,t=0"), ("SSM m=8", "ssm:s=8")] {
+        let design = build(text);
         let sup = driver.run("breakdown campaign", || {
             Engine::supervised(
-                &BreakdownWorkload::new(design, opts.samples.min(1 << 21), opts.seed),
+                &BreakdownWorkload::new(design.as_ref(), opts.samples.min(1 << 21), opts.seed),
                 driver.supervisor(),
             )
         });
@@ -167,18 +163,13 @@ fn main() {
         .map(|i| if i % 32 < 16 { 9_000 } else { -9_000 })
         .collect();
     let exact_out = lowpass.apply(&Accurate::new(16), &signal);
-    let designs: Vec<(&str, Box<dyn Multiplier>)> = vec![
-        (
-            "REALM16 t=0",
-            Box::new(Realm::new(RealmConfig::n16(16, 0)).or_die("valid")),
-        ),
-        (
-            "REALM4 t=0",
-            Box::new(Realm::new(RealmConfig::n16(4, 0)).or_die("valid")),
-        ),
-        ("MBM t=0", Box::new(Mbm::new(16, 0).or_die("valid"))),
-        ("cALM", Box::new(Calm::new(16))),
-    ];
+    let designs = [
+        ("REALM16 t=0", "realm:m=16,t=0"),
+        ("REALM4 t=0", "realm:m=4,t=0"),
+        ("MBM t=0", "mbm:t=0"),
+        ("cALM", "calm"),
+    ]
+    .map(|(label, text)| (label, build(text)));
     let img = Image::synthetic_livingroom();
     let blur = Kernel::gaussian(5, 1.0);
     let blur_exact = blur.apply(&Accurate::new(16), &img, 0);

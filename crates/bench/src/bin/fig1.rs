@@ -11,31 +11,27 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use realm_baselines::{Alm, AlmAdder, Calm, ImpLm, IntAlp, Mbm};
 use realm_bench::{Driver, OrDie};
-use realm_core::{Multiplier, Realm, RealmConfig};
+use realm_core::Multiplier;
 use realm_metrics::heatmap::render_heatmap;
-use realm_metrics::{Engine, ProfileWorkload, RangeWorkload};
+use realm_metrics::{parse_design, Engine, ProfileWorkload, RangeWorkload};
+
+/// The six panels: label and design text.
+const PANELS: [(&str, &str); 6] = [
+    ("a_calm", "calm"),
+    ("b_alm_soa_m11", "alm-soa:m=11"),
+    ("c_implm", "implm"),
+    ("d_mbm", "mbm:t=0"),
+    ("e_intalp_l2", "intalp:l=2"),
+    ("f_realm16", "realm:m=16,t=0"),
+];
 
 fn main() {
     let driver = Driver::from_env();
-    let designs: Vec<(&str, Box<dyn Multiplier>)> = vec![
-        ("a_calm", Box::new(Calm::new(16))),
-        ("b_alm_soa_m11", Box::new(Alm::new(16, AlmAdder::Soa, 11))),
-        ("c_implm", Box::new(ImpLm::new(16))),
-        (
-            "d_mbm",
-            Box::new(Mbm::new(16, 0).or_die("paper design point")),
-        ),
-        (
-            "e_intalp_l2",
-            Box::new(IntAlp::new(16, 2).or_die("paper design point")),
-        ),
-        (
-            "f_realm16",
-            Box::new(Realm::new(RealmConfig::n16(16, 0)).or_die("paper design point")),
-        ),
-    ];
+    let designs: Vec<(&str, Box<dyn Multiplier>)> = PANELS
+        .iter()
+        .map(|&(panel, text)| (panel, parse_design(text).or_die("paper design point")))
+        .collect();
 
     println!("Fig. 1 reproduction — error profiles over A, B in 32..=255\n");
     println!(

@@ -23,7 +23,6 @@
 pub mod options;
 pub mod runner;
 pub mod stopwatch;
-pub mod table;
 
 pub use options::Options;
 pub use runner::Driver;

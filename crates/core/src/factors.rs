@@ -237,19 +237,6 @@ impl ErrorReductionTable {
         &self.values
     }
 
-    /// Largest factor in the table.
-    pub fn max_value(&self) -> f64 {
-        self.values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Smallest factor in the table.
-    pub fn min_value(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// Mean relative error remaining in segment `(i, j)` after applying a
     /// (possibly quantized) factor `s` — zero by construction when `s` is
     /// the unquantized analytic value. Used to validate quantization

@@ -64,7 +64,6 @@ pub mod configurable;
 pub mod divider;
 pub mod error;
 pub mod factors;
-pub mod fixed;
 pub mod float;
 pub mod lut;
 pub mod mitchell;
@@ -90,4 +89,4 @@ pub use mitchell::LogEncoding;
 pub use multiplier::{batch_lanes, Multiplier};
 pub use realm::{Realm, RealmConfig};
 pub use segment::SegmentGrid;
-pub use signed::{fixed_mul_batch, fixed_mul_signed, FixedBatch, SignMagnitude};
+pub use signed::{fixed_mul_signed, FixedBatch, SignMagnitude};

@@ -5,6 +5,20 @@
 
 use crate::multiplier::Multiplier;
 
+/// The sign-magnitude rule, applied to one magnitude product: floor it
+/// by `shift`, saturate it to `i64::MAX` and negate it when the operand
+/// signs differ. Every signed product of the substrates and of
+/// [`SignMagnitude`] ends here.
+#[inline]
+fn apply_sign(product: u64, shift: u32, negative: bool) -> i64 {
+    let mag = (product >> shift).min(i64::MAX as u64) as i64;
+    if negative {
+        -mag
+    } else {
+        mag
+    }
+}
+
 /// Scalar sign-magnitude fixed-point multiply through an unsigned
 /// multiplier: `(a · b) >> shift` with flooring on the **magnitude**
 /// (toward zero, as a hardware sign-magnitude datapath floors), total
@@ -15,15 +29,16 @@ use crate::multiplier::Multiplier;
 /// * a shifted magnitude above `i64::MAX` saturates, so results live in
 ///   the symmetric sign-magnitude range `[-i64::MAX, i64::MAX]`.
 ///
+/// Flooring the magnitude differs from an arithmetic shift of the signed
+/// product, which floors toward `-∞`: `fixed_mul_signed(m, -3, 1, 1)` is
+/// `-1`, whereas `(-3 * 1) >> 1` is `-2`.
+///
 /// This is the per-lane reference semantics of [`FixedBatch`]; the
 /// batched path must match it bit for bit on every lane.
+#[inline]
 pub fn fixed_mul_signed(m: &dyn Multiplier, a: i64, b: i64, shift: u32) -> i64 {
-    let mag = (m.multiply(a.unsigned_abs(), b.unsigned_abs()) >> shift).min(i64::MAX as u64) as i64;
-    if (a < 0) ^ (b < 0) {
-        -mag
-    } else {
-        mag
-    }
+    let product = m.multiply(a.unsigned_abs(), b.unsigned_abs());
+    apply_sign(product, shift, (a < 0) ^ (b < 0))
 }
 
 /// Batched sign-magnitude multiply with reusable scratch — the kernel
@@ -51,18 +66,14 @@ impl FixedBatch {
         FixedBatch::default()
     }
 
-    /// Packs signed pairs into magnitude scratch and runs the one batched
-    /// unsigned multiply; afterwards `self.prods[i]` holds the magnitude
-    /// product of `pairs[i]`.
-    fn run_batch(&mut self, m: &dyn Multiplier, pairs: &[(i64, i64)]) {
+    /// Packs operand magnitudes into scratch and runs the one batched
+    /// unsigned multiply; afterwards `self.prods[i]` holds the product
+    /// of the `i`-th magnitude pair.
+    fn run_batch(&mut self, m: &dyn Multiplier, mags: impl Iterator<Item = (u64, u64)>) {
         self.mags.clear();
-        self.mags.extend(
-            pairs
-                .iter()
-                .map(|&(a, b)| (a.unsigned_abs(), b.unsigned_abs())),
-        );
+        self.mags.extend(mags);
         self.prods.clear();
-        self.prods.resize(pairs.len(), 0);
+        self.prods.resize(self.mags.len(), 0);
         m.multiply_batch(&self.mags, &mut self.prods);
     }
 
@@ -84,16 +95,22 @@ impl FixedBatch {
             out.len(),
             "multiply_batch needs one output slot per operand pair"
         );
-        self.run_batch(m, pairs);
+        self.run_batch(
+            m,
+            pairs
+                .iter()
+                .map(|&(a, b)| (a.unsigned_abs(), b.unsigned_abs())),
+        );
         for (slot, (&p, &(a, b))) in out.iter_mut().zip(self.prods.iter().zip(pairs)) {
-            let mag = ((p >> shift).min(i64::MAX as u64)) as i64;
-            *slot = if (a < 0) ^ (b < 0) { -mag } else { mag };
+            *slot = apply_sign(p, shift, (a < 0) ^ (b < 0));
         }
     }
 
     /// Exact signed dot product `Σ fixed_mul_signed(m, a[i], b[i], 0)`
-    /// of two equal-length slices — the GEMM/FIR/MLP inner loop, one
-    /// virtual call per *dot product* instead of one per product.
+    /// of two equal-length `i32` slices (the storage type of the
+    /// realm-dsp matrices, taps and quantized weights) — the
+    /// GEMM/FIR/MLP inner loop, one virtual call per *dot product*
+    /// instead of one per product.
     ///
     /// Accumulation is plain `i64` addition, exactly as the scalar
     /// substrates accumulate.
@@ -101,59 +118,20 @@ impl FixedBatch {
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    pub fn dot(&mut self, m: &dyn Multiplier, a: &[i64], b: &[i64]) -> i64 {
+    pub fn dot(&mut self, m: &dyn Multiplier, a: &[i32], b: &[i32]) -> i64 {
         assert_eq!(a.len(), b.len(), "dot product needs equal-length slices");
-        self.mags.clear();
-        self.mags.extend(
+        self.run_batch(
+            m,
             a.iter()
                 .zip(b)
-                .map(|(&x, &y)| (x.unsigned_abs(), y.unsigned_abs())),
+                .map(|(&x, &y)| (u64::from(x.unsigned_abs()), u64::from(y.unsigned_abs()))),
         );
-        self.prods.clear();
-        self.prods.resize(a.len(), 0);
-        m.multiply_batch(&self.mags, &mut self.prods);
         let mut acc = 0i64;
         for (&p, (&x, &y)) in self.prods.iter().zip(a.iter().zip(b)) {
-            let mag = p.min(i64::MAX as u64) as i64;
-            acc += if (x < 0) ^ (y < 0) { -mag } else { mag };
+            acc += apply_sign(p, 0, (x < 0) ^ (y < 0));
         }
         acc
     }
-
-    /// [`FixedBatch::dot`] over `i32` slices (the storage type of the
-    /// realm-dsp matrices, taps and quantized weights).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn dot_i32(&mut self, m: &dyn Multiplier, a: &[i32], b: &[i32]) -> i64 {
-        assert_eq!(a.len(), b.len(), "dot product needs equal-length slices");
-        self.mags.clear();
-        self.mags.extend(
-            a.iter()
-                .zip(b)
-                .map(|(&x, &y)| ((x as i64).unsigned_abs(), (y as i64).unsigned_abs())),
-        );
-        self.prods.clear();
-        self.prods.resize(a.len(), 0);
-        m.multiply_batch(&self.mags, &mut self.prods);
-        let mut acc = 0i64;
-        for (&p, (&x, &y)) in self.prods.iter().zip(a.iter().zip(b)) {
-            let mag = p.min(i64::MAX as u64) as i64;
-            acc += if (x < 0) ^ (y < 0) { -mag } else { mag };
-        }
-        acc
-    }
-}
-
-/// One-shot convenience over [`FixedBatch::multiply`] for callers
-/// without a scratch buffer to reuse.
-///
-/// # Panics
-///
-/// Panics unless `out.len() == pairs.len()`.
-pub fn fixed_mul_batch(m: &dyn Multiplier, pairs: &[(i64, i64)], shift: u32, out: &mut [i64]) {
-    FixedBatch::new().multiply(m, pairs, shift, out);
 }
 
 /// Wraps any unsigned [`Multiplier`] into a signed multiplier.
@@ -193,6 +171,8 @@ impl<M: Multiplier> SignMagnitude<M> {
     }
 
     /// Multiplies two signed `N`-bit values through the unsigned core.
+    /// The product saturates to `±i64::MAX`, which a core of 33 bits or
+    /// more can exceed.
     ///
     /// # Panics
     ///
@@ -200,24 +180,19 @@ impl<M: Multiplier> SignMagnitude<M> {
     /// signed `N`-bit range.
     pub fn multiply_signed(&self, a: i64, b: i64) -> i64 {
         let width = self.inner.width();
-        let max_mag = (1u64 << (width - 1)) - 1;
+        let max_mag = ((1u64 << (width - 1)) - 1) as i64;
         debug_assert!(
-            (-(max_mag as i64 + 1)..=max_mag as i64).contains(&a),
+            (-max_mag - 1..=max_mag).contains(&a),
             "operand a = {a} exceeds signed {width}-bit range"
         );
         debug_assert!(
-            (-(max_mag as i64 + 1)..=max_mag as i64).contains(&b),
+            (-max_mag - 1..=max_mag).contains(&b),
             "operand b = {b} exceeds signed {width}-bit range"
         );
-        // Saturating |.|: the -2^(N-1) corner clamps to 2^(N-1)-1, as a
-        // sign-magnitude front end without an extra magnitude bit must.
-        let mag = |v: i64| (v.unsigned_abs()).min(max_mag);
-        let product = self.inner.multiply(mag(a), mag(b)) as i64;
-        if (a < 0) ^ (b < 0) {
-            -product
-        } else {
-            product
-        }
+        // The -2^(N-1) corner clamps to -(2^(N-1)-1), as a sign-magnitude
+        // front end without an extra magnitude bit must.
+        let clamp = |v: i64| v.clamp(-max_mag, max_mag);
+        fixed_mul_signed(&self.inner, clamp(a), clamp(b), 0)
     }
 }
 
@@ -258,6 +233,18 @@ mod tests {
                 }
             };
             assert_eq!(signed.multiply_signed(a, b), expect);
+        }
+    }
+
+    #[test]
+    fn wide_cores_saturate_instead_of_wrapping() {
+        // On a core of 33 bits or more the magnitude product can exceed
+        // i64::MAX; it saturates like every other signed path.
+        for width in [33, 48, 64] {
+            let m = SignMagnitude::new(Accurate::new(width));
+            let max = ((1u64 << (width - 1)) - 1) as i64;
+            assert_eq!(m.multiply_signed(max, max), i64::MAX, "{width} bits");
+            assert_eq!(m.multiply_signed(-max, max), -i64::MAX, "{width} bits");
         }
     }
 
@@ -305,10 +292,9 @@ mod tests {
             .map(|(&x, &y)| fixed_mul_signed(&core, x, y, 0))
             .sum();
         let mut batch = FixedBatch::new();
-        assert_eq!(batch.dot(&core, &a, &b), scalar);
         let a32: Vec<i32> = a.iter().map(|&v| v as i32).collect();
         let b32: Vec<i32> = b.iter().map(|&v| v as i32).collect();
-        assert_eq!(batch.dot_i32(&core, &a32, &b32), scalar);
+        assert_eq!(batch.dot(&core, &a32, &b32), scalar);
     }
 
     #[test]
@@ -317,7 +303,7 @@ mod tests {
         assert_eq!(fixed_mul_signed(&m, i64::MIN, i64::MIN, 0), i64::MAX);
         assert_eq!(fixed_mul_signed(&m, i64::MIN, 1, 0), -i64::MAX);
         let mut out = [0i64; 2];
-        fixed_mul_batch(&m, &[(i64::MIN, i64::MIN), (i64::MIN, 1)], 0, &mut out);
+        FixedBatch::new().multiply(&m, &[(i64::MIN, i64::MIN), (i64::MIN, 1)], 0, &mut out);
         assert_eq!(out, [i64::MAX, -i64::MAX]);
     }
 

@@ -87,9 +87,9 @@ impl Kernel {
     /// direct nested loop (same tap order, same exact accumulation, same
     /// round-to-nearest descale).
     pub fn apply(&self, m: &dyn Multiplier, image: &Image, offset: i32) -> Image {
-        // im2col row order is (kernel, image) swapped relative to the old
-        // loop's fixed_mul(w, sample) — sign-magnitude multiplication is
-        // commutative, so the products are identical.
+        // im2col row order is (kernel, image) swapped relative to a direct
+        // loop's `fixed_mul_signed(m, w, sample, 0)` — sign-magnitude
+        // multiplication is commutative, so the products are identical.
         let windows = im2col(1, image.width(), image.height(), self.size, |_, x, y| {
             image.get(x, y) as i32
         });

@@ -7,9 +7,7 @@
 //! per-stage scaling by 1/2 that prevents overflow (a standard block-
 //! floating trick: an `N`-point transform then computes `DFT/N`).
 
-use realm_core::Multiplier;
-
-use crate::fixed_mul;
+use realm_core::{fixed_mul_signed, Multiplier};
 
 /// Fractional bits of the twiddle factors (Q14).
 pub const TWIDDLE_BITS: u32 = 14;
@@ -53,8 +51,9 @@ fn twiddles(n: usize) -> Vec<Complex> {
 /// multiplier, descaled with round-to-nearest.
 fn cmul(m: &dyn Multiplier, x: Complex, w: Complex) -> Complex {
     let half = 1i64 << (TWIDDLE_BITS - 1);
-    let re = fixed_mul(m, x.re as i64, w.re as i64, 0) - fixed_mul(m, x.im as i64, w.im as i64, 0);
-    let im = fixed_mul(m, x.re as i64, w.im as i64, 0) + fixed_mul(m, x.im as i64, w.re as i64, 0);
+    let mul = |a: i32, b: i32| fixed_mul_signed(m, a as i64, b as i64, 0);
+    let re = mul(x.re, w.re) - mul(x.im, w.im);
+    let im = mul(x.re, w.im) + mul(x.im, w.re);
     Complex::new(
         ((re + half) >> TWIDDLE_BITS) as i32,
         ((im + half) >> TWIDDLE_BITS) as i32,

@@ -83,7 +83,7 @@ impl FirFilter {
     pub fn apply(&self, m: &dyn Multiplier, signal: &[i32]) -> Vec<i32> {
         // Each output is one batched dot product of the overlapping tap
         // and signal windows (zero-padded taps fall out of the slices),
-        // bit-identical to the historical per-tap fixed_mul loop.
+        // bit-identical to a per-tap `fixed_mul_signed` loop.
         let half = self.taps.len() / 2;
         let mut batch = FixedBatch::new();
         signal
@@ -98,7 +98,7 @@ impl FirFilter {
                     window.iter().all(|x| x.unsigned_abs() < (1 << 15)),
                     "sample exceeds 16 bits"
                 );
-                let acc = batch.dot_i32(m, &self.taps[lo_k..lo_k + count], window);
+                let acc = batch.dot(m, &self.taps[lo_k..lo_k + count], window);
                 ((acc + (1 << (COEFF_BITS - 1))) >> COEFF_BITS) as i32
             })
             .collect()

@@ -8,9 +8,7 @@
 //! bit-identical to the scalar path (pinned by
 //! [`matmul_scalar_reference`] and the goldens suite).
 
-use realm_core::{FixedBatch, Multiplier};
-
-use crate::fixed_mul;
+use realm_core::{fixed_mul_signed, FixedBatch, Multiplier};
 
 /// A row-major integer matrix (entries are fixed-point with a caller-
 /// chosen scale).
@@ -114,7 +112,7 @@ pub fn matmul(m: &dyn Multiplier, a: &Matrix, b: &Matrix, shift: u32) -> Matrix 
     let bt = b.transpose();
     let mut batch = FixedBatch::new();
     Matrix::from_fn(a.rows, b.cols, |r, c| {
-        let acc = batch.dot_i32(m, a.row(r), bt.row(c));
+        let acc = batch.dot(m, a.row(r), bt.row(c));
         ((acc + half) >> shift) as i32
     })
 }
@@ -134,7 +132,7 @@ pub fn matmul_scalar_reference(m: &dyn Multiplier, a: &Matrix, b: &Matrix, shift
     Matrix::from_fn(a.rows, b.cols, |r, c| {
         let mut acc = 0i64;
         for k in 0..a.cols {
-            acc += fixed_mul(m, a.get(r, k) as i64, b.get(k, c) as i64, 0);
+            acc += fixed_mul_signed(m, a.get(r, k) as i64, b.get(k, c) as i64, 0);
         }
         ((acc + half) >> shift) as i32
     })

@@ -3,7 +3,10 @@
 //! Application substrates for the error-resilient workload classes the
 //! paper's introduction motivates — signal processing, multimedia and
 //! machine learning — each with **every multiplication routed through a
-//! pluggable [`realm_core::Multiplier`]**:
+//! pluggable [`realm_core::Multiplier`]**. Every signed product goes
+//! through the sign-magnitude rule of [`realm_core::signed`]: one
+//! product at a time with [`realm_core::fixed_mul_signed`], or a batch
+//! or dot product at a time with [`realm_core::FixedBatch`].
 //!
 //! * [`fir`] — fixed-point FIR filtering (Q15 coefficients) with
 //!   output-SNR analysis against the exact filter;
@@ -49,44 +52,20 @@ pub use gemm::{matmul, matmul_scalar_reference, Matrix};
 pub use mlp::Mlp;
 pub use net::{orientation_dataset, tiny_net, Layer, Op, QuantNet, Tensor};
 
-/// Sign-magnitude fixed-point multiply through an unsigned multiplier:
-/// `(a · b) >> shift` with flooring on the **magnitude** — the shared
-/// scalar primitive of every substrate in this crate.
-///
-/// Semantics (total for all `i64` inputs, including `i64::MIN`):
-///
-/// * operand magnitudes are taken with [`i64::unsigned_abs`], so
-///   `-2^63` contributes its true magnitude `2^63` (no wrap, no panic);
-/// * the unsigned product is shifted right by `shift` **before** the
-///   sign is re-applied — flooring toward zero, as a hardware
-///   sign-magnitude datapath does. This deliberately differs from an
-///   arithmetic shift of the signed product, which floors toward `-∞`
-///   (`fixed_mul(m, -3, 1, 1) == -1`, whereas `(-3 * 1) >> 1 == -2`);
-/// * a shifted magnitude above `i64::MAX` saturates to `i64::MAX`, so
-///   the result range is the symmetric `[-i64::MAX, i64::MAX]` of a
-///   sign-magnitude register — never `i64::MIN`, never wrapped.
-pub fn fixed_mul(m: &dyn realm_core::Multiplier, a: i64, b: i64, shift: u32) -> i64 {
-    let mag = (m.multiply(a.unsigned_abs(), b.unsigned_abs()) >> shift).min(i64::MAX as u64) as i64;
-    if (a < 0) ^ (b < 0) {
-        -mag
-    } else {
-        mag
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    // The signed multiply every substrate of this crate goes through,
+    // pinned at the semantics the substrates rely on.
     use realm_core::rng::SplitMix64;
-    use realm_core::Accurate;
+    use realm_core::{fixed_mul_signed, Accurate};
 
     #[test]
     fn fixed_mul_matches_reference() {
         let m = Accurate::new(16);
-        assert_eq!(fixed_mul(&m, 300, 200, 4), (300 * 200) >> 4);
-        assert_eq!(fixed_mul(&m, -300, 200, 4), -((300 * 200) >> 4));
-        assert_eq!(fixed_mul(&m, -300, -200, 4), (300 * 200) >> 4);
-        assert_eq!(fixed_mul(&m, 0, 200, 4), 0);
+        assert_eq!(fixed_mul_signed(&m, 300, 200, 4), (300 * 200) >> 4);
+        assert_eq!(fixed_mul_signed(&m, -300, 200, 4), -((300 * 200) >> 4));
+        assert_eq!(fixed_mul_signed(&m, -300, -200, 4), (300 * 200) >> 4);
+        assert_eq!(fixed_mul_signed(&m, 0, 200, 4), 0);
     }
 
     #[test]
@@ -95,9 +74,9 @@ mod tests {
         // of the signed product would round toward -infinity. The scalar
         // primitive pins the former.
         let m = Accurate::new(16);
-        assert_eq!(fixed_mul(&m, -3, 1, 1), -1);
+        assert_eq!(fixed_mul_signed(&m, -3, 1, 1), -1);
         assert_eq!(-3i64 >> 1, -2);
-        assert_eq!(fixed_mul(&m, -7, 3, 2), -5);
+        assert_eq!(fixed_mul_signed(&m, -7, 3, 2), -5);
         assert_eq!((-7i64 * 3) >> 2, -6);
     }
 
@@ -107,21 +86,21 @@ mod tests {
         // true 2^63 magnitude and the result saturates symmetrically
         // instead of wrapping or panicking.
         let m = Accurate::new(64);
-        assert_eq!(fixed_mul(&m, i64::MIN, i64::MIN, 0), i64::MAX);
-        assert_eq!(fixed_mul(&m, i64::MIN, 1, 0), -i64::MAX);
-        assert_eq!(fixed_mul(&m, 1, i64::MIN, 0), -i64::MAX);
-        assert_eq!(fixed_mul(&m, i64::MIN, 0, 0), 0);
-        assert_eq!(fixed_mul(&m, i64::MAX, i64::MAX, 0), i64::MAX);
-        assert_eq!(fixed_mul(&m, i64::MIN, i64::MAX, 0), -i64::MAX);
+        assert_eq!(fixed_mul_signed(&m, i64::MIN, i64::MIN, 0), i64::MAX);
+        assert_eq!(fixed_mul_signed(&m, i64::MIN, 1, 0), -i64::MAX);
+        assert_eq!(fixed_mul_signed(&m, 1, i64::MIN, 0), -i64::MAX);
+        assert_eq!(fixed_mul_signed(&m, i64::MIN, 0, 0), 0);
+        assert_eq!(fixed_mul_signed(&m, i64::MAX, i64::MAX, 0), i64::MAX);
+        assert_eq!(fixed_mul_signed(&m, i64::MIN, i64::MAX, 0), -i64::MAX);
         // Shifting the saturated magnitude stays total and ordered.
-        assert_eq!(fixed_mul(&m, i64::MIN, 1, 63), -1);
-        assert_eq!(fixed_mul(&m, i64::MIN, 2, 1), -i64::MAX);
+        assert_eq!(fixed_mul_signed(&m, i64::MIN, 1, 63), -1);
+        assert_eq!(fixed_mul_signed(&m, i64::MIN, 2, 1), -i64::MAX);
     }
 
     #[test]
     fn fixed_mul_matches_i128_reference_wherever_exact() {
         // Property: for in-range 32-bit operands the accurate 64-bit core
-        // is exact, so fixed_mul must equal the i128 reference with
+        // is exact, so the multiply must equal the i128 reference with
         // magnitude (toward-zero) flooring, for every sign combination.
         let m = Accurate::new(64);
         let mut rng = SplitMix64::new(0xF1D0);
@@ -134,7 +113,11 @@ mod tests {
             let mag = (((a as i128).unsigned_abs() * (b as i128).unsigned_abs()) >> shift)
                 .min(i64::MAX as u128) as i64;
             let expect = if (a < 0) ^ (b < 0) { -mag } else { mag };
-            assert_eq!(fixed_mul(&m, a, b, shift), expect, "{a} × {b} >> {shift}");
+            assert_eq!(
+                fixed_mul_signed(&m, a, b, shift),
+                expect,
+                "{a} × {b} >> {shift}"
+            );
         }
     }
 }

@@ -157,7 +157,7 @@ impl Mlp {
             .collect();
 
         // Output layer: one batch, per-product arithmetic descale as the
-        // historical loop did (`fixed_mul(..) >> WEIGHT_BITS` floors the
+        // historical loop did (`fixed_mul_signed(..) >> WEIGHT_BITS` floors the
         // signed product toward -infinity).
         let pairs2: Vec<(i64, i64)> = (0..self.hidden)
             .map(|j| (self.w2[j] as i64, h[j]))

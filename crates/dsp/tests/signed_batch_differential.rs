@@ -9,7 +9,7 @@
 
 use realm_baselines::{Calm, Drum, Ilm, ScaleTrim};
 use realm_core::rng::SplitMix64;
-use realm_core::signed::{fixed_mul_batch, fixed_mul_signed, FixedBatch};
+use realm_core::signed::{fixed_mul_signed, FixedBatch};
 use realm_core::{Accurate, Multiplier, Realm, RealmConfig};
 
 fn designs_8bit() -> Vec<(&'static str, Box<dyn Multiplier>)> {
@@ -78,11 +78,10 @@ fn dot_matches_scalar_accumulation_at_odd_lengths() {
                 .map(|(&x, &y)| fixed_mul_signed(m.as_ref(), x, y, 0))
                 .sum();
             let mut batch = FixedBatch::new();
-            assert_eq!(batch.dot(m.as_ref(), &a, &b), scalar, "{name} len {len}");
             let a32: Vec<i32> = a.iter().map(|&v| v as i32).collect();
             let b32: Vec<i32> = b.iter().map(|&v| v as i32).collect();
             assert_eq!(
-                batch.dot_i32(m.as_ref(), &a32, &b32),
+                batch.dot(m.as_ref(), &a32, &b32),
                 scalar,
                 "{name} i32 len {len}"
             );
@@ -113,7 +112,7 @@ fn zero_and_saturation_packs_stay_lane_identical() {
             .collect();
         for shift in [0u32, 1, 17] {
             let mut out = vec![0i64; len];
-            fixed_mul_batch(&m, &pairs, shift, &mut out);
+            FixedBatch::new().multiply(&m, &pairs, shift, &mut out);
             for (&(a, b), &got) in pairs.iter().zip(&out) {
                 assert_eq!(
                     got,
@@ -130,13 +129,13 @@ fn zero_and_saturation_packs_stay_lane_identical() {
 fn empty_batches_are_no_ops() {
     let m = Accurate::new(16);
     let mut out: [i64; 0] = [];
-    fixed_mul_batch(&m, &[], 0, &mut out);
+    FixedBatch::new().multiply(&m, &[], 0, &mut out);
     assert_eq!(FixedBatch::new().dot(&m, &[], &[]), 0);
 }
 
-/// The substrate-level scalar primitive (`realm_dsp::fixed_mul`) and the
-/// core batched path agree — the equality the shim layer's passivity
-/// rests on.
+/// The scalar primitive the substrates call per product
+/// (`fixed_mul_signed`) and the core batched path agree on random
+/// substrate-range operands.
 #[test]
 fn dsp_fixed_mul_agrees_with_core_batched_path() {
     let mut rng = SplitMix64::new(0xD5B);
@@ -150,11 +149,11 @@ fn dsp_fixed_mul_agrees_with_core_batched_path() {
             })
             .collect();
         let mut out = vec![0i64; pairs.len()];
-        fixed_mul_batch(m.as_ref(), &pairs, 2, &mut out);
+        FixedBatch::new().multiply(m.as_ref(), &pairs, 2, &mut out);
         for (&(a, b), &got) in pairs.iter().zip(&out) {
             assert_eq!(
                 got,
-                realm_dsp::fixed_mul(m.as_ref(), a, b, 2),
+                fixed_mul_signed(m.as_ref(), a, b, 2),
                 "{name}: {a} × {b}"
             );
         }

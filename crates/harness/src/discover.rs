@@ -1,6 +1,7 @@
 //! Checkpoint-directory discovery: non-destructive enumeration of the
 //! journals in a directory, with enough classification to decide which
-//! campaigns can (and should) be resumed.
+//! campaigns can (and should) be resumed. Serve counts the job journals
+//! it finds at startup with [`discover`].
 //!
 //! [`Journal::resume`](crate::Journal::resume) opens *one* journal for
 //! *one* known campaign and truncates torn tails as a side effect. A
@@ -14,18 +15,12 @@
 //! * [`discover`] enumerates every `*.journal` in a directory
 //!   (non-journal files and unreadable entries are classified, not
 //!   errors — a checkpoint directory survives strangers).
-//! * [`offer_resumable`] intersects a discovery with the campaigns a
-//!   caller actually knows, offering exactly the journals worth a
-//!   [`Journal::resume`](crate::Journal::resume): fingerprint-matched
-//!   and incomplete. Complete journals are reported separately (pure
-//!   replay, nothing to execute); foreign fingerprints are never
-//!   offered.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use crate::journal::{parse_header, parse_record};
-use crate::{CampaignId, HarnessError};
+use crate::HarnessError;
 
 /// What one file in a checkpoint directory turned out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +35,7 @@ pub enum JournalStatus {
     Partial,
     /// The file does not carry a valid `realm-journal v1` header (a
     /// stranger in the directory, or a crash before the header hit the
-    /// disk). Never offered for resume.
+    /// disk). Not a resume target.
     Foreign,
 }
 
@@ -80,9 +75,9 @@ impl JournalInfo {
 }
 
 /// Parses `total=T chunk=C` out of a journal descriptor line (the
-/// `Display` form of a [`CampaignId`]) and returns the chunk count
-/// `ceil(T / C)`. Parses from the right so subjects containing `=` or
-/// spaces cannot confuse it.
+/// `Display` form of a [`CampaignId`](crate::CampaignId)) and returns
+/// the chunk count `ceil(T / C)`. Parses from the right so subjects
+/// containing `=` or spaces cannot confuse it.
 fn expected_chunks_from_descriptor(descriptor: &str) -> Option<u64> {
     let mut total = None;
     let mut chunk = None;
@@ -191,51 +186,10 @@ pub fn discover(dir: &Path) -> Result<Vec<JournalInfo>, HarnessError> {
     Ok(infos)
 }
 
-/// What a discovery means for one set of known campaigns.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResumePlan {
-    /// Campaigns with a fingerprint-matched, incomplete journal — the
-    /// ones worth a [`Journal::resume`](crate::Journal::resume).
-    pub resumable: Vec<(CampaignId, JournalInfo)>,
-    /// Campaigns whose journal already covers every chunk (resume is a
-    /// pure replay; nothing executes).
-    pub complete: Vec<(CampaignId, JournalInfo)>,
-    /// Campaigns with no journal in the directory at all (fresh starts).
-    pub missing: Vec<CampaignId>,
-}
-
-/// Matches a discovery against the campaigns the caller knows and
-/// offers **only the resumable ones**: fingerprint-matched journals
-/// that still have chunks to execute. Complete journals are listed
-/// separately; foreign files and fingerprints no known campaign claims
-/// are never offered (resuming them would violate the fingerprint
-/// binding that keeps resume bit-identical).
-pub fn offer_resumable(infos: &[JournalInfo], known: &[CampaignId]) -> ResumePlan {
-    let mut plan = ResumePlan {
-        resumable: Vec::new(),
-        complete: Vec::new(),
-        missing: Vec::new(),
-    };
-    for id in known {
-        let fp = id.fingerprint();
-        let matched = infos
-            .iter()
-            .find(|info| info.fingerprint == Some(fp) && info.status() != JournalStatus::Foreign);
-        match matched {
-            Some(info) if info.status() == JournalStatus::Complete => {
-                plan.complete.push((id.clone(), info.clone()));
-            }
-            Some(info) => plan.resumable.push((id.clone(), info.clone())),
-            None => plan.missing.push(id.clone()),
-        }
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Journal;
+    use crate::{CampaignId, Journal};
     use realm_par::ChunkPlan;
     use std::io::Write;
 
@@ -354,34 +308,6 @@ mod tests {
             1,
             "the non-journal file is foreign"
         );
-
-        // The offer: only partial + torn are resumable; the complete one
-        // is pure replay; the foreign fingerprint is never offered.
-        let known = [complete.clone(), partial.clone(), torn.clone()];
-        let plan = offer_resumable(&infos, &known);
-        let resumable: BTreeSet<u64> = plan
-            .resumable
-            .iter()
-            .map(|(id, _)| id.fingerprint())
-            .collect();
-        assert_eq!(
-            resumable,
-            BTreeSet::from([partial.fingerprint(), torn.fingerprint()]),
-            "only the incomplete journals of known campaigns are offered"
-        );
-        assert_eq!(plan.complete.len(), 1);
-        assert_eq!(plan.complete[0].0.fingerprint(), complete.fingerprint());
-        assert!(plan.missing.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unknown_campaign_with_no_journal_is_missing() {
-        let dir = scratch("missing");
-        let known = [id("fresh", 10, 5)];
-        let plan = offer_resumable(&discover(&dir).unwrap(), &known);
-        assert!(plan.resumable.is_empty());
-        assert_eq!(plan.missing.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

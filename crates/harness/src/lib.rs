@@ -41,7 +41,7 @@ mod wire;
 pub use realm_obs::{atomic_write, atomic_write_str};
 
 pub use cancel::CancelToken;
-pub use discover::{discover, inspect, offer_resumable, JournalInfo, JournalStatus, ResumePlan};
+pub use discover::{discover, inspect, JournalInfo, JournalStatus};
 pub use journal::{CampaignId, Fnv64, Journal, LoadStats, ResumedJournal};
 pub use supervisor::{Backoff, Outcome, Quarantine, RunReport, StopCause, Supervised, Supervisor};
 pub use wire::{ByteReader, Checkpoint};

@@ -4,6 +4,7 @@
 //! and does not affect it).
 
 use realm_core::multiplier::Multiplier;
+use realm_core::signed::fixed_mul_signed;
 
 use crate::dct;
 use crate::image::Image;
@@ -105,13 +106,8 @@ impl<M: Multiplier> JpegCodec<M> {
                 // … dequantize through the multiplier (decoder side).
                 let dequantized: [[i32; 8]; 8] = std::array::from_fn(|r| {
                     std::array::from_fn(|c| {
-                        let q = quantized[r][c];
-                        let p = m.multiply(q.unsigned_abs() as u64, self.table[r][c] as u64) as i32;
-                        if q < 0 {
-                            -p
-                        } else {
-                            p
-                        }
+                        let (q, step) = (quantized[r][c], self.table[r][c]);
+                        fixed_mul_signed(m, i64::from(q), i64::from(step), 0) as i32
                     })
                 });
                 let rec = dct::inverse(m, &dequantized);

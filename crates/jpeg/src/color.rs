@@ -4,7 +4,7 @@
 //! baseline-JPEG color path, where the color-conversion multiplies add a
 //! second place for approximate-multiplier error to enter.
 
-use realm_core::Multiplier;
+use realm_core::{fixed_mul_signed, Multiplier};
 
 use crate::codec::JpegCodec;
 use crate::image::Image;
@@ -112,17 +112,8 @@ impl RgbImage {
 /// Fractional bits of the BT.601 conversion coefficients (Q14).
 pub const CSC_BITS: u32 = 14;
 
-fn csc_mul(m: &dyn Multiplier, coeff: i32, sample: i32) -> i64 {
-    let mag = m.multiply(coeff.unsigned_abs() as u64, sample.unsigned_abs() as u64) as i64;
-    if (coeff < 0) ^ (sample < 0) {
-        -mag
-    } else {
-        mag
-    }
-}
-
-fn q14(v: f64) -> i32 {
-    (v * (1 << CSC_BITS) as f64).round() as i32
+fn q14(v: f64) -> i64 {
+    (v * (1 << CSC_BITS) as f64).round() as i64
 }
 
 /// RGB → YCbCr (BT.601 full-range), every multiply through `m`; returns
@@ -131,10 +122,12 @@ pub fn rgb_to_ycbcr(m: &dyn Multiplier, rgb: &RgbImage) -> (Image, Image, Image)
     let coeffs_y = [q14(0.299), q14(0.587), q14(0.114)];
     let coeffs_cb = [q14(-0.168_736), q14(-0.331_264), q14(0.5)];
     let coeffs_cr = [q14(0.5), q14(-0.418_688), q14(-0.081_312)];
-    let plane = |coeffs: [i32; 3], offset: i64| {
+    let plane = |coeffs: [i64; 3], offset: i64| {
         Image::from_fn(rgb.width(), rgb.height(), |x, y| {
             let p = rgb.get(x, y);
-            let acc: i64 = (0..3).map(|c| csc_mul(m, coeffs[c], p[c] as i32)).sum();
+            let acc: i64 = (0..3)
+                .map(|c| fixed_mul_signed(m, coeffs[c], i64::from(p[c]), 0))
+                .sum();
             let v = ((acc + (1 << (CSC_BITS - 1))) >> CSC_BITS) + offset;
             v.clamp(0, 255) as u8
         })
@@ -154,12 +147,13 @@ pub fn ycbcr_to_rgb(m: &dyn Multiplier, y: &Image, cb: &Image, cr: &Image) -> Rg
     let c_b_cb = q14(1.772);
     RgbImage::from_fn(y.width(), y.height(), |px, py| {
         let yy = y.get(px, py) as i64;
-        let cbv = cb.get(px.min(cb.width() - 1), py.min(cb.height() - 1)) as i32 - 128;
-        let crv = cr.get(px.min(cr.width() - 1), py.min(cr.height() - 1)) as i32 - 128;
+        let cbv = cb.get(px.min(cb.width() - 1), py.min(cb.height() - 1)) as i64 - 128;
+        let crv = cr.get(px.min(cr.width() - 1), py.min(cr.height() - 1)) as i64 - 128;
+        let mul = |coeff: i64, v: i64| fixed_mul_signed(m, coeff, v, 0);
         let half = 1i64 << (CSC_BITS - 1);
-        let r = yy + ((csc_mul(m, c_r_cr, crv) + half) >> CSC_BITS);
-        let g = yy + ((csc_mul(m, c_g_cb, cbv) + csc_mul(m, c_g_cr, crv) + half) >> CSC_BITS);
-        let b = yy + ((csc_mul(m, c_b_cb, cbv) + half) >> CSC_BITS);
+        let r = yy + ((mul(c_r_cr, crv) + half) >> CSC_BITS);
+        let g = yy + ((mul(c_g_cb, cbv) + mul(c_g_cr, crv) + half) >> CSC_BITS);
+        let b = yy + ((mul(c_b_cb, cbv) + half) >> CSC_BITS);
         [
             r.clamp(0, 255) as u8,
             g.clamp(0, 255) as u8,

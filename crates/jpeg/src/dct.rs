@@ -4,11 +4,12 @@
 //! Basis coefficients are quantized to Q13 (signed, |c| ≤ 0.5 → 12
 //! magnitude bits), samples stay within a signed 16-bit range through
 //! both 1-D passes, and each `coefficient × sample` product runs through
-//! the supplied unsigned multiplier under sign-magnitude handling — the
-//! paper's "JPEG in 16-bit fixed-point arithmetic, using accurate and
-//! approximate multipliers".
+//! the supplied unsigned multiplier under sign-magnitude handling
+//! ([`fixed_mul_signed`]) — the paper's "JPEG in 16-bit fixed-point
+//! arithmetic, using accurate and approximate multipliers".
 
 use realm_core::multiplier::Multiplier;
+use realm_core::signed::fixed_mul_signed;
 
 /// Fractional bits of the fixed-point DCT basis (Q13).
 pub const COEFF_BITS: u32 = 13;
@@ -31,26 +32,16 @@ pub fn basis_q13() -> [[i32; 8]; 8] {
     basis
 }
 
-/// Sign-magnitude multiply through an unsigned [`Multiplier`]: the full
-/// `coeff · sample` product at Q13 scale (descaling happens once per
-/// accumulated output, as fixed-point DCT datapaths do).
-fn fixed_mul(m: &dyn Multiplier, coeff: i32, sample: i32) -> i64 {
-    let mag = m.multiply(coeff.unsigned_abs() as u64, sample.unsigned_abs() as u64) as i64;
-    if (coeff < 0) ^ (sample < 0) {
-        -mag
-    } else {
-        mag
-    }
-}
-
 /// One 8-point 1-D transform: `out[u] = (Σ_x basis[u][x] · input[x]) ≫ 13`
-/// with round-to-nearest descaling of the accumulated sum.
+/// with round-to-nearest descaling of the accumulated sum. Each product
+/// is taken at full Q13 scale; descaling happens once per accumulated
+/// output, as fixed-point DCT datapaths do.
 fn transform_1d(m: &dyn Multiplier, basis: &[[i32; 8]; 8], input: &[i32; 8]) -> [i32; 8] {
     let mut out = [0i32; 8];
     for (u, row) in basis.iter().enumerate() {
         let mut acc = 0i64;
         for (x, &c) in row.iter().enumerate() {
-            acc += fixed_mul(m, c, input[x]);
+            acc += fixed_mul_signed(m, i64::from(c), i64::from(input[x]), 0);
         }
         out[u] = ((acc + (1 << (COEFF_BITS - 1))) >> COEFF_BITS) as i32;
     }

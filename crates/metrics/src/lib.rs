@@ -33,7 +33,6 @@ pub mod nmed;
 pub mod pareto;
 pub mod spec;
 pub mod summary;
-pub mod sweep;
 
 pub use breakdown::{BreakdownWorkload, IntervalCell};
 pub use dnn::{parse_layer_bindings, DnnConfig, DnnPoint, DnnSweep, LayerBinding};

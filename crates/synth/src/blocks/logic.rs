@@ -2,11 +2,6 @@
 
 use crate::netlist::{Net, Netlist};
 
-/// Bitwise NOT of a bus.
-pub fn not_bus(nl: &mut Netlist, a: &[Net]) -> Vec<Net> {
-    a.iter().map(|&n| nl.not(n)).collect()
-}
-
 /// Bitwise mux of two equal-width buses: `sel ? b : a`.
 ///
 /// # Panics

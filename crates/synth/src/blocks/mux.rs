@@ -1,7 +1,6 @@
 //! Multiplexer trees, including the constant-input LUT multiplexer that
 //! realizes REALM's hardwired error-reduction table (paper §III-C).
 
-use crate::blocks::logic::constant_bus;
 use crate::netlist::{Net, Netlist};
 
 /// An `2^sel.len()`-leaf mux tree over single-bit leaves.
@@ -79,12 +78,6 @@ pub fn mux_tree_bus(nl: &mut Netlist, sel: &[Net], options: &[Vec<Net>]) -> Vec<
             mux_tree(nl, sel, &leaves)
         })
         .collect()
-}
-
-/// Convenience wrapper binding a constant value as a bus (re-exported from
-/// [`crate::blocks::logic`] for LUT call sites).
-pub fn constant_word(nl: &Netlist, value: u64, width: usize) -> Vec<Net> {
-    constant_bus(nl, value, width)
 }
 
 #[cfg(test)]

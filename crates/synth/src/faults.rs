@@ -72,14 +72,6 @@ pub struct StageSpan {
     pub gates: Range<usize>,
 }
 
-/// The stage a gate index belongs to, if any span covers it.
-pub fn classify_gate(spans: &[StageSpan], gate: usize) -> Option<StageClass> {
-    spans
-        .iter()
-        .find(|s| s.gates.contains(&gate))
-        .map(|s| s.stage)
-}
-
 /// Per-stage aggregate of a gate-level fault campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageImpact {

@@ -198,6 +198,25 @@ fn section4_error_improves_with_m_and_degrades_with_t() {
 }
 
 #[test]
+fn realm_mean_error_sweep_over_t_is_non_decreasing() {
+    // §IV-C: truncating more fraction bits trades accuracy for cost, so
+    // REALM8's mean error does not fall as t grows.
+    let campaign = MonteCarlo::new(60_000, 4);
+    let means: Vec<f64> = [0, 2, 4, 6, 8, 9]
+        .into_iter()
+        .map(|t| {
+            campaign
+                .characterize(&Realm::new(RealmConfig::n16(8, t)).expect("paper design point"))
+                .mean_error
+        })
+        .collect();
+    // Monte-Carlo noise slack.
+    assert!(means.windows(2).all(|w| w[1] >= w[0] - 0.0005), "{means:?}");
+    // t = 9 must sit clearly above t = 0.
+    assert!(means[5] > means[0] * 1.2, "{means:?}");
+}
+
+#[test]
 fn synthesis_realm_vs_accurate_orderings() {
     // Table I synthesis columns: every REALM configuration saves
     // substantial area and power vs. the accurate multiplier; larger M
