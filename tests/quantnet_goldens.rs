@@ -1,0 +1,113 @@
+//! Goldens of the int8 inference substrate: `tiny_net()` under the 16
+//! configurations of the `dnn` driver's slate and under every
+//! `catalog::FAMILIES` default point bound to both MAC layers. Each
+//! configuration pins the bits of its `accuracy` over a seeded
+//! `orientation_dataset` and an FNV-64 of every patch's `forward` logits.
+//!
+//! `results/goldens/quantnet.csv` was blessed from the code before
+//! `QuantNet` took its products from per-binding tables, with
+//! `REALM_BLESS_GOLDENS=1 cargo test --test quantnet_goldens`. The file
+//! is closed: a change may not add, drop or alter a row.
+
+use std::fmt::Write as _;
+use std::path::Path;
+
+use realm::baselines::catalog::FAMILIES;
+use realm::dsp::{orientation_dataset, tiny_net};
+use realm::metrics::dnn::{parse_layer_bindings, DnnConfig};
+use realm::metrics::parse_design;
+use realm::Multiplier;
+
+/// Evaluation patches per configuration.
+const PATCHES: usize = 32;
+/// Seed of the evaluation set.
+const SEED: u64 = 0x90_1D;
+
+/// The `dnn` driver's slate: 11 uniform and 5 mixed per-layer configs.
+const UNIFORM: [&str; 11] = [
+    "accurate",
+    "realm:m=16,t=0",
+    "realm:m=16,t=3",
+    "realm:m=8,t=3",
+    "realm:m=8,t=6",
+    "realm:m=4,t=9",
+    "calm",
+    "drum:k=6",
+    "mbm:t=0",
+    "scaletrim:t=6,c=1",
+    "ilm:i=2",
+];
+const MIXED: [&str; 5] = [
+    "conv1=realm:m=8,t=3,dense1=realm:m=16,t=0",
+    "conv1=realm:m=4,t=9,dense1=realm:m=16,t=0",
+    "conv1=realm:m=8,t=6,dense1=realm:m=16,t=3",
+    "conv1=drum:k=6,dense1=realm:m=16,t=0",
+    "conv1=scaletrim:t=6,c=1,dense1=realm:m=16,t=0",
+];
+
+/// FNV-1a 64 over a byte stream.
+fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The slate, then each family's default point not already in it.
+fn configs(mac_layers: &[&str]) -> Vec<DnnConfig> {
+    let mut configs: Vec<DnnConfig> = UNIFORM
+        .iter()
+        .map(|design| DnnConfig::uniform(design, mac_layers.len()).expect("slate design"))
+        .collect();
+    for spec in MIXED {
+        let bindings = parse_layer_bindings(spec).expect("slate layer spec");
+        configs.push(DnnConfig::from_bindings("accurate", &bindings, mac_layers).expect(spec));
+    }
+    for family in FAMILIES {
+        let config = DnnConfig::uniform(family.name, mac_layers.len()).expect(family.name);
+        if !configs.iter().any(|c| c.label == config.label) {
+            configs.push(config);
+        }
+    }
+    configs
+}
+
+fn fresh_rows() -> String {
+    let net = tiny_net();
+    let data = orientation_dataset(PATCHES, SEED);
+    let mut out = String::from("config,metric,value\n");
+    for config in configs(&net.mac_layers()) {
+        let designs: Vec<Box<dyn Multiplier>> = config
+            .designs
+            .iter()
+            .map(|d| parse_design(d).expect("validated design"))
+            .collect();
+        let bindings: Vec<&dyn Multiplier> = designs.iter().map(|d| d.as_ref()).collect();
+        let label = &config.label;
+        let accuracy = net.accuracy(&bindings, &data).to_bits();
+        let _ = writeln!(out, "\"{label}\",accuracy_bits,{accuracy:016x}");
+        let logits = fnv64(
+            data.iter()
+                .flat_map(|(patch, _)| net.forward(&bindings, patch))
+                .flat_map(i64::to_le_bytes),
+        );
+        let _ = writeln!(out, "\"{label}\",forward_fnv64,{logits:016x}");
+    }
+    out
+}
+
+#[test]
+fn quantnet_outputs_are_bit_identical_to_their_goldens() {
+    let fresh = fresh_rows();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/goldens/quantnet.csv");
+    if std::env::var_os("REALM_BLESS_GOLDENS").is_some() {
+        std::fs::write(&path, &fresh).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden '{}' ({e}); bless with REALM_BLESS_GOLDENS=1",
+            path.display()
+        )
+    });
+    assert_eq!(fresh, golden, "QuantNet outputs must stay bit-identical");
+}
