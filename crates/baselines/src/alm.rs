@@ -99,6 +99,10 @@ impl Multiplier for Alm {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         let (Some(ea), Some(eb)) = (
             LogEncoding::encode(a, self.width),

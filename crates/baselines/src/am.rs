@@ -100,6 +100,10 @@ impl Multiplier for Am {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         let product_bits = 2 * self.width;
         // Error recovery is restricted to the top `nb` product columns:

@@ -77,6 +77,10 @@ impl Multiplier for Drum {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         let a = self.approximate_operand(a);
         let b = self.approximate_operand(b);

@@ -85,6 +85,10 @@ impl Multiplier for Ilm {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         // The approximation is bounded by the exact product, so only the
         // 64-bit register clamp (widths > 32) can ever bite.

@@ -82,6 +82,10 @@ impl Multiplier for ImpLm {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         let (Some((ka, xa)), Some((kb, xb))) = (self.encode(a), self.encode(b)) else {
             return 0;

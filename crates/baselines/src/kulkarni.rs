@@ -75,6 +75,10 @@ impl Multiplier for Kulkarni {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a >> self.width == 0 && b >> self.width == 0);
         self.recurse(a, b, self.width)

@@ -76,6 +76,10 @@ impl Multiplier for Mbm {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     // `truncation` was range-checked in `Mbm::new`, so the truncate
     // calls below cannot fail.
     #[allow(clippy::expect_used)]

@@ -120,6 +120,10 @@ impl Multiplier for ScaleTrim {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         match self.mantissa(a, b) {
             Some((mantissa, exponent, f)) => {

@@ -75,6 +75,10 @@ impl Multiplier for Ssm {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         self.truncate_operand(a) * self.truncate_operand(b)
     }
@@ -123,6 +127,10 @@ impl Essm8 {
 impl Multiplier for Essm8 {
     fn width(&self) -> u32 {
         16
+    }
+
+    fn is_pure(&self) -> bool {
+        true
     }
 
     fn multiply(&self, a: u64, b: u64) -> u64 {

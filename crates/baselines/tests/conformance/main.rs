@@ -153,6 +153,15 @@ fn the_grammar_is_total_over_a_width_and_key_sweep() {
     }
 }
 
+/// `QuantNet::accuracy` takes a pure design's products from a table, so
+/// a family that stops being pure would silently lose that path.
+#[test]
+fn every_registry_design_is_pure() {
+    for (spec, model) in points() {
+        assert!(model.is_pure(), "{spec} must be pure");
+    }
+}
+
 #[test]
 fn every_spec_round_trips_through_its_text_with_the_same_label() {
     for (spec, model) in points() {

@@ -16,25 +16,6 @@ use realm_jpeg::{psnr, Image, JpegCodec};
 use realm_metrics::{Engine, Workload};
 use realm_par::{Chunk, ChunkPlan};
 
-/// Borrowed adapter so one boxed design can drive a codec.
-#[derive(Debug)]
-struct Borrowed<'a>(&'a dyn Multiplier);
-
-impl Multiplier for Borrowed<'_> {
-    fn width(&self) -> u32 {
-        self.0.width()
-    }
-    fn multiply(&self, a: u64, b: u64) -> u64 {
-        self.0.multiply(a, b)
-    }
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn config(&self) -> String {
-        self.0.config()
-    }
-}
-
 /// The PSNR grid of Table II: one JPEG round-trip per chunk, over the
 /// cross product of scenes × (accurate + approximate designs). Each
 /// round-trip is deterministic, so the grid folds bit-identically for
@@ -84,7 +65,7 @@ impl Workload for PsnrWorkload<'_> {
                     JpegCodec::quality50(Accurate::new(16)).roundtrip(img)
                 } else {
                     let design = self.designs[(col - 1) as usize].as_ref();
-                    JpegCodec::quality50(Borrowed(design)).roundtrip(img)
+                    JpegCodec::quality50(design).roundtrip(img)
                 };
                 psnr(img, &roundtrip)
             })

@@ -53,6 +53,10 @@ impl Multiplier for Accurate {
         self.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         debug_assert!(
             self.width == 64 || a >> self.width == 0,

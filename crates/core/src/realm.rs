@@ -190,6 +190,10 @@ impl Multiplier for Realm {
         self.config.width
     }
 
+    fn is_pure(&self) -> bool {
+        true
+    }
+
     fn multiply(&self, a: u64, b: u64) -> u64 {
         let width = self.config.width;
         // Total over all of u64: out-of-range operands are masked to their

@@ -8,9 +8,10 @@ use crate::multiplier::Multiplier;
 /// The sign-magnitude rule, applied to one magnitude product: floor it
 /// by `shift`, saturate it to `i64::MAX` and negate it when the operand
 /// signs differ. Every signed product of the substrates and of
-/// [`SignMagnitude`] ends here.
+/// [`SignMagnitude`] ends here, including those `QuantNet` looks up in a
+/// product table instead of calling the design.
 #[inline]
-fn apply_sign(product: u64, shift: u32, negative: bool) -> i64 {
+pub fn apply_sign(product: u64, shift: u32, negative: bool) -> i64 {
     let mag = (product >> shift).min(i64::MAX as u64) as i64;
     if negative {
         -mag

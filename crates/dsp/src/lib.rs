@@ -50,7 +50,7 @@ pub use conv2d::Kernel;
 pub use fir::FirFilter;
 pub use gemm::{matmul, matmul_scalar_reference, Matrix};
 pub use mlp::Mlp;
-pub use net::{orientation_dataset, tiny_net, Layer, Op, QuantNet, Tensor};
+pub use net::{orientation_dataset, tiny_net, Layer, Op, QuantNet};
 
 #[cfg(test)]
 mod tests {

@@ -313,6 +313,16 @@ mod tests {
         Realm::new(RealmConfig::n16(16, 0)).expect("valid configuration")
     }
 
+    /// The wrappers draw faults or count per call, so none may hand a
+    /// pure design's product table to a caller.
+    #[test]
+    fn wrappers_of_a_pure_design_are_impure() {
+        assert!(realm16().is_pure());
+        assert!(!InterfaceLevel::new(realm16()).is_pure());
+        assert!(!FaultyMultiplier::new(realm16(), FaultPlan::none(), 1).is_pure());
+        assert!(!crate::Guarded::new(realm16()).is_pure());
+    }
+
     #[test]
     fn inert_injector_matches_nominal_multiply() {
         let r = realm16();

@@ -1,6 +1,6 @@
 use realm_baselines::catalog::table2_designs;
 use realm_core::multiplier::MultiplierExt;
-use realm_core::{Accurate, Multiplier};
+use realm_core::Accurate;
 use realm_jpeg::{psnr, Image, JpegCodec};
 
 fn main() {
@@ -17,27 +17,7 @@ fn main() {
         let acc = JpegCodec::quality50(Accurate::new(16));
         print!("{:>10.1}", psnr(img, &acc.roundtrip(img)));
         for d in &designs {
-            struct W<'a>(&'a dyn Multiplier);
-            impl std::fmt::Debug for W<'_> {
-                fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
-                    write!(f, "w")
-                }
-            }
-            impl Multiplier for W<'_> {
-                fn width(&self) -> u32 {
-                    self.0.width()
-                }
-                fn multiply(&self, a: u64, b: u64) -> u64 {
-                    self.0.multiply(a, b)
-                }
-                fn name(&self) -> &str {
-                    self.0.name()
-                }
-                fn config(&self) -> String {
-                    self.0.config()
-                }
-            }
-            let codec = JpegCodec::quality50(W(d.as_ref()));
+            let codec = JpegCodec::quality50(d.as_ref());
             print!("{:>18.1}", psnr(img, &codec.roundtrip(img)));
         }
         println!();

@@ -8,6 +8,8 @@
 //! ([`fixed_mul_signed`]) — the paper's "JPEG in 16-bit fixed-point
 //! arithmetic, using accurate and approximate multipliers".
 
+use std::sync::OnceLock;
+
 use realm_core::multiplier::Multiplier;
 use realm_core::signed::fixed_mul_signed;
 
@@ -17,6 +19,25 @@ pub const COEFF_BITS: u32 = 13;
 /// The orthonormal 8-point DCT-II basis in Q13: `BASIS[u][x]` is
 /// `c(u)·cos((2x+1)uπ/16)` scaled by `2^13` and rounded.
 pub fn basis_q13() -> [[i32; 8]; 8] {
+    bases().0
+}
+
+/// An 8-point basis, one row per output.
+type Basis = [[i32; 8]; 8];
+
+/// The basis and its transpose (the inverse transform's basis),
+/// computed once: 64 `cos` calls cost about as much as an accurate
+/// codec's whole block transform.
+fn bases() -> &'static (Basis, Basis) {
+    static BASES: OnceLock<(Basis, Basis)> = OnceLock::new();
+    BASES.get_or_init(|| {
+        let basis = compute_basis();
+        let transposed = std::array::from_fn(|x| std::array::from_fn(|u| basis[u][x]));
+        (basis, transposed)
+    })
+}
+
+fn compute_basis() -> [[i32; 8]; 8] {
     let mut basis = [[0i32; 8]; 8];
     for (u, row) in basis.iter_mut().enumerate() {
         let cu = if u == 0 {
@@ -51,15 +72,15 @@ fn transform_1d(m: &dyn Multiplier, basis: &[[i32; 8]; 8], input: &[i32; 8]) -> 
 /// Forward 2-D DCT of a level-shifted 8×8 block (inputs in `[−128, 127]`),
 /// rows first then columns.
 pub fn forward(m: &dyn Multiplier, block: &[[i32; 8]; 8]) -> [[i32; 8]; 8] {
-    let basis = basis_q13();
+    let basis = &bases().0;
     let mut rows = [[0i32; 8]; 8];
     for (r, row) in block.iter().enumerate() {
-        rows[r] = transform_1d(m, &basis, row);
+        rows[r] = transform_1d(m, basis, row);
     }
     let mut out = [[0i32; 8]; 8];
     for c in 0..8 {
         let col: [i32; 8] = std::array::from_fn(|r| rows[r][c]);
-        let t = transform_1d(m, &basis, &col);
+        let t = transform_1d(m, basis, &col);
         for r in 0..8 {
             out[r][c] = t[r];
         }
@@ -69,25 +90,19 @@ pub fn forward(m: &dyn Multiplier, block: &[[i32; 8]; 8]) -> [[i32; 8]; 8] {
 
 /// Inverse 2-D DCT: `out[x] = Σ_u basis[u][x] · coef[u]` per axis.
 pub fn inverse(m: &dyn Multiplier, coef: &[[i32; 8]; 8]) -> [[i32; 8]; 8] {
-    let basis = basis_q13();
     // Transposed basis = inverse transform for an orthonormal DCT.
-    let mut tbasis = [[0i32; 8]; 8];
-    for u in 0..8 {
-        for x in 0..8 {
-            tbasis[x][u] = basis[u][x];
-        }
-    }
+    let tbasis = &bases().1;
     let mut cols = [[0i32; 8]; 8];
     for c in 0..8 {
         let col: [i32; 8] = std::array::from_fn(|r| coef[r][c]);
-        let t = transform_1d(m, &tbasis, &col);
+        let t = transform_1d(m, tbasis, &col);
         for r in 0..8 {
             cols[r][c] = t[r];
         }
     }
     let mut out = [[0i32; 8]; 8];
     for (r, row) in cols.iter().enumerate() {
-        out[r] = transform_1d(m, &tbasis, row);
+        out[r] = transform_1d(m, tbasis, row);
     }
     out
 }

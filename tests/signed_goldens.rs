@@ -17,29 +17,9 @@ use realm::baselines::catalog::{self, DesignSpec};
 use realm::dsp::fft::{fft, Complex};
 use realm::jpeg::color::{color_roundtrip, RgbImage};
 use realm::jpeg::{psnr, Image, JpegCodec};
-use realm::Multiplier;
 
 /// Side of the square crop every image is cut to.
 const CROP: usize = 64;
-
-/// Lets one boxed design drive a codec.
-#[derive(Debug)]
-struct Borrowed<'a>(&'a dyn Multiplier);
-
-impl Multiplier for Borrowed<'_> {
-    fn width(&self) -> u32 {
-        self.0.width()
-    }
-    fn multiply(&self, a: u64, b: u64) -> u64 {
-        self.0.multiply(a, b)
-    }
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn config(&self) -> String {
-        self.0.config()
-    }
-}
 
 /// FNV-1a 64 over a byte stream.
 fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -65,7 +45,7 @@ fn fresh_rows() -> String {
     let mut out = String::from("design,substrate,input,metric,value\n");
     for spec in &designs {
         let model = spec.build().expect("a Table II design builds");
-        let codec = JpegCodec::quality50(Borrowed(model.as_ref()));
+        let codec = JpegCodec::quality50(model.as_ref());
         for (scene, img) in &scenes {
             let rec = codec.roundtrip(img);
             let bits = psnr(img, &rec).to_bits();
