@@ -108,12 +108,10 @@ impl Matrix {
 /// entry's magnitude exceeds the multiplier's operand width.
 pub fn matmul(m: &dyn Multiplier, a: &Matrix, b: &Matrix, shift: u32) -> Matrix {
     assert_eq!(a.cols, b.rows, "inner dimensions disagree");
-    let half = if shift == 0 { 0 } else { 1i64 << (shift - 1) };
     let bt = b.transpose();
     let mut batch = FixedBatch::new();
     Matrix::from_fn(a.rows, b.cols, |r, c| {
-        let acc = batch.dot(m, a.row(r), bt.row(c));
-        ((acc + half) >> shift) as i32
+        descale(batch.dot(m, a.row(r), bt.row(c)), shift)
     })
 }
 
@@ -128,14 +126,20 @@ pub fn matmul(m: &dyn Multiplier, a: &Matrix, b: &Matrix, shift: u32) -> Matrix 
 /// entry's magnitude exceeds the multiplier's operand width.
 pub fn matmul_scalar_reference(m: &dyn Multiplier, a: &Matrix, b: &Matrix, shift: u32) -> Matrix {
     assert_eq!(a.cols, b.rows, "inner dimensions disagree");
-    let half = if shift == 0 { 0 } else { 1i64 << (shift - 1) };
     Matrix::from_fn(a.rows, b.cols, |r, c| {
         let mut acc = 0i64;
         for k in 0..a.cols {
             acc += fixed_mul_signed(m, a.get(r, k) as i64, b.get(k, c) as i64, 0);
         }
-        ((acc + half) >> shift) as i32
+        descale(acc, shift)
     })
+}
+
+/// The one descale of an output element: the exact accumulator shifted
+/// right by `shift`, rounded to nearest (halves up).
+pub(crate) fn descale(acc: i64, shift: u32) -> i32 {
+    let half = if shift == 0 { 0 } else { 1i64 << (shift - 1) };
+    ((acc + half) >> shift) as i32
 }
 
 /// Relative Frobenius-norm error between an approximate and an exact
