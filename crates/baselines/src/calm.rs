@@ -158,25 +158,4 @@ mod tests {
     fn zero_short_circuits() {
         assert_eq!(Calm::new(16).multiply(0, 999), 0);
     }
-
-    #[test]
-    fn batch_kernel_matches_scalar() {
-        for width in [8u32, 16, 32] {
-            let m = Calm::new(width);
-            let max = (1u64 << width) - 1;
-            let mut pairs: Vec<(u64, u64)> = (0..4096u64)
-                .map(|i| {
-                    let a = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (max + 1);
-                    let b = i.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) % (max + 1);
-                    (a, b)
-                })
-                .collect();
-            pairs.extend([(0, 0), (0, max), (max, max), (1, 1), (6, 12)]);
-            let mut out = vec![0u64; pairs.len()];
-            m.multiply_batch(&pairs, &mut out);
-            for (&(a, b), &p) in pairs.iter().zip(&out) {
-                assert_eq!(p, m.multiply(a, b), "width={width} a={a} b={b}");
-            }
-        }
-    }
 }

@@ -1,8 +1,8 @@
 //! The design registry. A [`DesignSpec`] is the one key for a design
 //! point: it parses from the `name[@W][:key=value,…]` text grammar
 //! ([`FAMILIES`] lists the names, keys and defaults), builds the
-//! behavioural model and its label, and `realm_synth::designs::netlist`
-//! maps it to the gate-level netlist. The slates the experiments iterate
+//! behavioural model and its label, and `realm_synth::designs::pair`
+//! adds its gate-level netlist. The slates the experiments iterate
 //! are lists of specs: Table I ([`table1`]) and Table II ([`table2`]).
 
 use std::fmt;

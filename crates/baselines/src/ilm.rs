@@ -131,7 +131,6 @@ impl Multiplier for Ilm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use realm_core::multiplier::MultiplierExt;
 
     #[test]
     fn zero_short_circuits() {
@@ -205,37 +204,5 @@ mod tests {
         // 160 = 2^7 + 32, 5 = 2^2 + 1: prod0 = 160·4 + 1·128 = 768,
         // residues 32 and 1: prod1 = 32·2^0 + 0·2^5 = 32 → 800.
         assert_eq!(m.multiply(160, 5), 800);
-    }
-
-    #[test]
-    fn batch_matches_scalar_across_widths() {
-        for width in [8u32, 16, 24, 32, 64] {
-            let m = Ilm::new(width, 2).unwrap();
-            let max = m.max_operand();
-            let mut pairs: Vec<(u64, u64)> = (0..1024u64)
-                .map(|i| {
-                    let a = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & max;
-                    let b = i.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) & max;
-                    (a, b)
-                })
-                .collect();
-            pairs.extend([(0, 0), (0, max), (max, max), (1, 1), (6, 12)]);
-            let mut out = vec![0u64; pairs.len()];
-            m.multiply_batch(&pairs, &mut out);
-            for (&(a, b), &p) in pairs.iter().zip(&out) {
-                assert_eq!(p, m.multiply(a, b), "width={width} a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_path_agrees_with_register_below_33_bits() {
-        for width in [8u32, 16, 32] {
-            let m = Ilm::new(width, 2).unwrap();
-            let max = m.max_operand();
-            for (a, b) in [(max, max), (max / 3, max / 2), (1, max), (6, 12)] {
-                assert_eq!(m.multiply_wide(a, b), m.multiply(a, b) as u128);
-            }
-        }
     }
 }

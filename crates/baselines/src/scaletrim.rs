@@ -240,36 +240,4 @@ mod tests {
         };
         assert!(mean_abs(true) < mean_abs(false));
     }
-
-    #[test]
-    fn batch_matches_scalar_across_widths() {
-        for width in [8u32, 16, 24, 32, 64] {
-            let m = ScaleTrim::new(width, 4, true).unwrap();
-            let max = m.max_operand();
-            let mut pairs: Vec<(u64, u64)> = (0..1024u64)
-                .map(|i| {
-                    let a = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & max;
-                    let b = i.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) & max;
-                    (a, b)
-                })
-                .collect();
-            pairs.extend([(0, 0), (0, max), (max, max), (1, 1), (6, 12)]);
-            let mut out = vec![0u64; pairs.len()];
-            m.multiply_batch(&pairs, &mut out);
-            for (&(a, b), &p) in pairs.iter().zip(&out) {
-                assert_eq!(p, m.multiply(a, b), "width={width} a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_path_agrees_with_register_below_33_bits() {
-        for width in [8u32, 16, 32] {
-            let m = ScaleTrim::new(width, 5, true).unwrap();
-            let max = m.max_operand();
-            for (a, b) in [(max, max), (max / 3, max / 2), (1, max), (7, 9)] {
-                assert_eq!(m.multiply_wide(a, b), m.multiply(a, b) as u128);
-            }
-        }
-    }
 }

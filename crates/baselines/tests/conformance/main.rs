@@ -5,8 +5,10 @@
 //! * zero annihilates on `multiply`, `multiply_wide` and `multiply_batch`;
 //! * `multiply_batch` ≡ `multiply` on all 65536 pairs of an 8-bit point,
 //!   and on seeded odd-length streams plus a corner pack at every other
-//!   width;
-//! * `multiply` ≡ `multiply_wide` up to 32 bits, wide ≥ clamped above;
+//!   width (and on the 8-bit square too at the points of
+//!   [`ALL_8BIT_PAIRS_AT`]);
+//! * `multiply` ≡ `multiply_wide` up to 32 bits, wide ≥ clamped above,
+//!   and no product past `2^(2N) − 1`;
 //! * for a family with a `realm-simd` kernel, both pinned tiers ≡
 //!   `multiply` on the same inputs (on a host without AVX2 the wide tier
 //!   runs the scalar lanes);
@@ -40,6 +42,15 @@ fn points() -> &'static [(DesignSpec, Box<dyn Multiplier>)] {
 /// Batch lengths covering every `len mod 4` remainder of the 4-lane
 /// AVX2 bodies: lone remainder lanes and whole vectors.
 const LENGTHS: [usize; 5] = [1, 2, 3, 4, 64];
+
+/// Wider points that run all 65536 pairs of the 8-bit square as well,
+/// where the small-operand and cross-interval paths of their kernels
+/// are: the paper's 16-bit corners and the kernels' width edges.
+const ALL_8BIT_PAIRS_AT: &str = "accurate@16 accurate@32 calm@16 calm@31 calm@32 \
+    drum@16:k=3 drum@16:k=4 drum@16:k=6 drum@16:k=8 drum@32:k=8 \
+    realm@16 realm@16:t=4 realm@16:m=8 realm@16:m=8,t=4 realm@16:m=4 realm@16:m=4,t=4 \
+    realm@16:m=8,t=3 realm@16:m=4,t=9 realm@12:m=8,t=1 realm@24:m=8,t=1 realm@31:m=8,t=1 \
+    scaletrim@16:t=4 scaletrim@16:t=6 ilm@16:i=1 ilm@16:i=2 ilm@32:i=2";
 
 /// A long run through a kernel's vector loop. A point without a kernel
 /// runs `multiply` per lane, where the batch length changes nothing.
@@ -94,7 +105,7 @@ fn the_spec_list_names_every_family() {
     let kernels = points().iter().filter(|(s, _)| kernel(s).is_some()).count();
     assert_eq!(
         (points().len(), at8, kernels),
-        (1743, 92, 502),
+        (1746, 92, 504),
         "the spec list changed"
     );
 }
@@ -200,6 +211,21 @@ fn every_path_matches_multiply_on_all_8bit_pairs() {
         let run = kernel(spec);
         let batches = inputs(model.as_ref(), run.is_some(), 0);
         assert_paths_agree(spec, model.as_ref(), run.as_ref(), &batches);
+    }
+}
+
+#[test]
+fn every_path_matches_multiply_on_all_8bit_pairs_at_wider_points() {
+    let texts: Vec<&str> = ALL_8BIT_PAIRS_AT.split_whitespace().collect();
+    let specs: Vec<DesignSpec> = texts
+        .iter()
+        .map(|t| DesignSpec::parse(t).unwrap())
+        .collect();
+    let wider: Vec<_> = points().iter().filter(|(s, _)| specs.contains(s)).collect();
+    assert_eq!(wider.len(), texts.len(), "a text of the table is no point");
+    for (spec, model) in wider {
+        let run = kernel(spec);
+        assert_paths_agree(spec, model.as_ref(), run.as_ref(), &[all_8bit_pairs()]);
     }
 }
 

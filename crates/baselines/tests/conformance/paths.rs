@@ -1,9 +1,7 @@
 //! The conformance checks of one design point: every multiply path and
-//! both pinned tiers of the point's `realm-simd` kernel ≡ `multiply`.
-//! The suite runs them at every point of its spec list; the differential
-//! suites (`batch_differential.rs`, `simd_differential.rs`,
-//! `comparator_differential.rs`) include this file for their named
-//! points.
+//! both pinned tiers of the point's `realm-simd` kernel ≡ `multiply`,
+//! under the `2N`-bit product ceiling. The suite's `main.rs` runs them
+//! at every point of its spec list.
 
 use realm_baselines::catalog::DesignSpec;
 use realm_core::simd::{self, Tier};
@@ -72,18 +70,24 @@ pub fn kernel(spec: &DesignSpec) -> Option<TierRun> {
 }
 
 /// Asserts on every batch: `multiply_batch` ≡ `multiply`, `multiply` ≡
-/// `multiply_wide` up to 32 bits (wide ≥ clamped above), and both tiers
-/// of the point's kernel ≡ `multiply`.
+/// `multiply_wide` up to 32 bits (wide ≥ clamped above), neither past
+/// the product ceiling `2^(2N) − 1`, and both tiers of the point's
+/// kernel ≡ `multiply`.
 pub fn assert_paths_agree(
     spec: &DesignSpec,
     model: &dyn Multiplier,
     kernel: Option<&TierRun>,
     batches: &[Vec<(u64, u64)>],
 ) {
+    let ceiling = u128::MAX >> (128 - 2 * model.width());
     for pairs in batches {
         let want: Vec<u64> = pairs.iter().map(|&(a, b)| model.multiply(a, b)).collect();
         for (&(a, b), &p) in pairs.iter().zip(&want) {
             let wide = model.multiply_wide(a, b);
+            assert!(
+                wide <= ceiling && u128::from(p) <= ceiling,
+                "{spec}: product past 2^(2N) − 1 at ({a}, {b})"
+            );
             if model.width() <= 32 {
                 assert_eq!(wide, u128::from(p), "{spec}: multiply_wide at ({a}, {b})");
             } else {

@@ -12,16 +12,20 @@ use realm_core::Multiplier;
 
 /// Points the one-key sweep cannot reach: REALM with both `m` and `t`
 /// set (the paper's 16-bit corners, every 8-bit `M ∈ {4, 8}` × `t ∈
-/// {0, 1}` netlist, `m = 8, t = 1` at the kernel's width edges) and an
-/// uncompensated scaleTRIM with `t = 6` at 8 bits.
-const EXTRA: [&str; 8] = [
+/// {0, 1}` netlist, `m = 8, t = 1` at the kernel's width edges and at
+/// 32 bits, where it declines) and an uncompensated scaleTRIM with
+/// `t = 6` at 8 bits.
+const EXTRA: [&str; 11] = [
     "realm:m=8,t=3",
     "realm:m=4,t=9",
+    "realm:m=8,t=4",
+    "realm:m=4,t=4",
     "realm@8:m=4,t=1",
     "realm@8:m=8,t=1",
     "realm@12:m=8,t=1",
     "realm@24:m=8,t=1",
     "realm@31:m=8,t=1",
+    "realm@32:m=8,t=1",
     "scaletrim@8:t=6,c=0",
 ];
 

@@ -4,7 +4,7 @@
 //!    operand pair (how campaigns ran before the batched engine),
 //! 2. **batched** — one `multiply_batch` virtual call per operand block,
 //!    dispatching through `realm_simd::active_tier()` (the fast path the
-//!    campaigns use; honors `--force-scalar`),
+//!    campaigns use; honors `REALM_FORCE_SCALAR`),
 //! 3. **batched-scalar / batched-simd** — the same block kernels with
 //!    the ISA tier pinned per measurement, producing the before/after
 //!    scalar-vs-SIMD comparison recorded as `simd_speedup`,

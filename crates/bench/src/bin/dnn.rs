@@ -23,7 +23,7 @@ use realm_bench::{or_die_opt, Driver, OrDie};
 use realm_core::rng::SplitMix64;
 use realm_core::{Realm, RealmConfig};
 use realm_dsp::{matmul, matmul_scalar_reference, Matrix, QuantNet};
-use realm_metrics::dnn::{parse_layer_bindings, DnnConfig, DnnSweep};
+use realm_metrics::dnn::{parse_layer_bindings, tiny_net_slate, DnnConfig, DnnSweep};
 use realm_metrics::{pareto_front, Engine, ErrorSla, ParetoPoint};
 use realm_qos::{QosTable, TableConfig};
 
@@ -54,37 +54,7 @@ fn main() {
             .join(", ")
     );
 
-    let uniform = [
-        "accurate",
-        "realm:m=16,t=0",
-        "realm:m=16,t=3",
-        "realm:m=8,t=3",
-        "realm:m=8,t=6",
-        "realm:m=4,t=9",
-        "calm",
-        "drum:k=6",
-        "mbm:t=0",
-        "scaletrim:t=6,c=1",
-        "ilm:i=2",
-    ];
-    // Mixed slates exploit the MAC asymmetry: the conv layer carries ~90%
-    // of the MACs, the dense layer makes the final call — so spend the
-    // error budget where the MACs are and protect the classifier.
-    let mixed = [
-        "conv1=realm:m=8,t=3,dense1=realm:m=16,t=0",
-        "conv1=realm:m=4,t=9,dense1=realm:m=16,t=0",
-        "conv1=realm:m=8,t=6,dense1=realm:m=16,t=3",
-        "conv1=drum:k=6,dense1=realm:m=16,t=0",
-        "conv1=scaletrim:t=6,c=1,dense1=realm:m=16,t=0",
-    ];
-    let mut configs: Vec<DnnConfig> = Vec::new();
-    for design in uniform {
-        configs.push(DnnConfig::uniform(design, mac_layers.len()).or_die(design));
-    }
-    for spec in mixed {
-        let bindings = parse_layer_bindings(spec).or_die(spec);
-        configs.push(DnnConfig::from_bindings("accurate", &bindings, &mac_layers).or_die(spec));
-    }
+    let mut configs = tiny_net_slate().or_die("the dnn slate");
     if let Some(spec) = &opts.layers {
         let bindings = parse_layer_bindings(spec).or_die("--layers");
         let mut user =

@@ -77,11 +77,6 @@ pub struct Options {
     /// `realm_metrics::dnn` layer-spec grammar. Layers not named keep
     /// the driver's default design.
     pub layers: Option<String>,
-    /// Pin the multiply kernels to the scalar tier (`--force-scalar`;
-    /// equivalent to `REALM_FORCE_SCALAR=1`). A debugging and CI
-    /// differential knob: results are bit-identical under every tier,
-    /// only throughput changes.
-    pub force_scalar: bool,
     /// Error budget for the campaign (`--error-sla mean:0.03,nmed:0.01`).
     /// Drivers that honor it select the cheapest characterized design
     /// satisfying the budget (when no `--design` pins one) and score the
@@ -107,7 +102,6 @@ impl Default for Options {
             progress: false,
             design: None,
             layers: None,
-            force_scalar: false,
             error_sla: None,
         }
     }
@@ -137,8 +131,6 @@ pub fn usage() -> &'static str {
      \x20 --layers L         per-layer multiplier bindings for the dnn driver, comma-separated\n\
      \x20                    layer=design pairs (conv1=realm16t4,dense1=scaletrim:t=6@16);\n\
      \x20                    unlisted layers keep the default design\n\
-     \x20 --force-scalar     pin the multiply kernels to the scalar tier (= REALM_FORCE_SCALAR=1).\n\
-     \x20                    Purely a debugging/CI knob: results are bit-identical on every tier.\n\
      \x20 --error-sla S      error budget, comma-separated bounds (mean:0.03,nmed:0.01,peak:0.2).\n\
      \x20                    Drivers that honor it pick the cheapest design meeting the budget\n\
      \x20                    (unless --design pins one) and score the delivered error against it.\n\
@@ -160,15 +152,7 @@ impl Options {
             std::process::exit(0);
         }
         match Options::parse(args) {
-            Ok(opts) => {
-                // Must happen before the first multiply_batch anywhere in
-                // the process: the kernel tier is resolved once and then
-                // deliberately sticky (realm_simd::active_tier).
-                if opts.force_scalar {
-                    std::env::set_var(realm_core::simd::FORCE_SCALAR_ENV, "1");
-                }
-                opts
-            }
+            Ok(opts) => opts,
             Err(e) => {
                 eprintln!("error: {e}\n\n{}", usage());
                 std::process::exit(2);
@@ -242,7 +226,6 @@ impl Options {
                         .map_err(|e| CliError(format!("invalid --layers '{text}': {e}")))?;
                     opts.layers = Some(text);
                 }
-                "--force-scalar" => opts.force_scalar = true,
                 "--error-sla" => {
                     let text = value("--error-sla")?;
                     let sla = ErrorSla::parse(&text)
@@ -655,14 +638,6 @@ mod tests {
             let err = parse(bad).expect_err("must be rejected");
             assert!(err.to_string().contains("--error-sla"), "{err}");
         }
-    }
-
-    #[test]
-    fn parses_force_scalar_and_usage_documents_it() {
-        assert!(ok(&["--force-scalar"]).force_scalar);
-        assert!(!ok(&[]).force_scalar);
-        assert!(usage().contains("--force-scalar"));
-        assert!(usage().contains("REALM_FORCE_SCALAR"));
     }
 
     #[test]

@@ -160,18 +160,4 @@ mod tests {
         let a = u32::MAX as u64;
         assert_eq!(m.multiply(a, a), a * a);
     }
-
-    #[test]
-    fn batch_matches_scalar() {
-        let m = Accurate::new(16);
-        let pairs: Vec<(u64, u64)> = (0..64)
-            .map(|i| (i * 1021 % 65_536, i * 1777 % 65_536))
-            .chain([(0, 0), (65_535, 65_535), (1, 65_535)])
-            .collect();
-        let mut out = vec![0u64; pairs.len()];
-        m.multiply_batch(&pairs, &mut out);
-        for (&(a, b), &p) in pairs.iter().zip(&out) {
-            assert_eq!(p, m.multiply(a, b), "a={a} b={b}");
-        }
-    }
 }

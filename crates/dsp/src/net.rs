@@ -830,6 +830,30 @@ pub fn tiny_net() -> QuantNet {
     QuantNet::new(8, 8, vec![conv, relu, pool, dense])
 }
 
+/// The per-layer binding slate the `dnn` driver sweeps over
+/// [`tiny_net`], as `(conv1, dense1)` design texts: 11 uniform configs,
+/// then 5 mixed ones. The conv layer carries ~90 %
+/// of the MACs and the dense layer makes the final call, so the mixed
+/// ones spend the error budget on the conv and protect the classifier.
+pub const TINY_NET_SLATE: [(&str, &str); 16] = [
+    ("accurate", "accurate"),
+    ("realm:m=16,t=0", "realm:m=16,t=0"),
+    ("realm:m=16,t=3", "realm:m=16,t=3"),
+    ("realm:m=8,t=3", "realm:m=8,t=3"),
+    ("realm:m=8,t=6", "realm:m=8,t=6"),
+    ("realm:m=4,t=9", "realm:m=4,t=9"),
+    ("calm", "calm"),
+    ("drum:k=6", "drum:k=6"),
+    ("mbm:t=0", "mbm:t=0"),
+    ("scaletrim:t=6,c=1", "scaletrim:t=6,c=1"),
+    ("ilm:i=2", "ilm:i=2"),
+    ("realm:m=8,t=3", "realm:m=16,t=0"),
+    ("realm:m=4,t=9", "realm:m=16,t=0"),
+    ("realm:m=8,t=6", "realm:m=16,t=3"),
+    ("drum:k=6", "realm:m=16,t=0"),
+    ("scaletrim:t=6,c=1", "realm:m=16,t=0"),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,27 +956,6 @@ mod tests {
         let _ = QuantNet::new(2, 2, vec![relu.clone(), relu]);
     }
 
-    /// The `dnn` driver's slate as `(conv1, dense1)` designs: 11 uniform
-    /// and 5 mixed configs.
-    const SLATE: [(&str, &str); 16] = [
-        ("accurate", "accurate"),
-        ("realm:m=16,t=0", "realm:m=16,t=0"),
-        ("realm:m=16,t=3", "realm:m=16,t=3"),
-        ("realm:m=8,t=3", "realm:m=8,t=3"),
-        ("realm:m=8,t=6", "realm:m=8,t=6"),
-        ("realm:m=4,t=9", "realm:m=4,t=9"),
-        ("calm", "calm"),
-        ("drum:k=6", "drum:k=6"),
-        ("mbm:t=0", "mbm:t=0"),
-        ("scaletrim:t=6,c=1", "scaletrim:t=6,c=1"),
-        ("ilm:i=2", "ilm:i=2"),
-        ("realm:m=8,t=3", "realm:m=16,t=0"),
-        ("realm:m=4,t=9", "realm:m=16,t=0"),
-        ("realm:m=8,t=6", "realm:m=16,t=3"),
-        ("drum:k=6", "realm:m=16,t=0"),
-        ("scaletrim:t=6,c=1", "realm:m=16,t=0"),
-    ];
-
     fn design(text: &str) -> Box<dyn Multiplier> {
         DesignSpec::parse(text)
             .expect("design text parses")
@@ -1028,7 +1031,7 @@ mod tests {
     fn table_source_matches_binding_source_on_the_dnn_slate() {
         let net = tiny();
         let data = orientation_dataset(8, 0x51A7E);
-        for (conv, dense) in SLATE {
+        for (conv, dense) in TINY_NET_SLATE {
             let (conv_m, dense_m) = (design(conv), design(dense));
             let what = format!("conv1={conv}, dense1={dense}");
             assert_sources_agree(net, &[conv_m.as_ref(), dense_m.as_ref()], &data, &what);
@@ -1084,7 +1087,7 @@ mod tests {
         let mut designs = family_points(16);
         // The slate's designs: the conv side of its 11 uniform configs.
         designs.extend(
-            SLATE[..11]
+            TINY_NET_SLATE[..11]
                 .iter()
                 .map(|(conv, _)| (conv.to_string(), design(conv))),
         );

@@ -40,7 +40,7 @@
 
 use realm_baselines::catalog::FAMILIES;
 use realm_core::Multiplier;
-use realm_dsp::QuantNet;
+use realm_dsp::{QuantNet, TINY_NET_SLATE};
 use realm_par::{Chunk, ChunkPlan};
 
 use crate::engine::Workload;
@@ -268,6 +268,25 @@ impl DnnConfig {
         }
         h
     }
+}
+
+/// The `dnn` driver's 16 configs of [`TINY_NET_SLATE`], labelled
+/// `uniform:D`, or `mixed:conv1=C,dense1=D` over an `accurate` default.
+///
+/// # Errors
+///
+/// A slate text the grammar rejects.
+pub fn tiny_net_slate() -> Result<Vec<DnnConfig>, SpecError> {
+    TINY_NET_SLATE
+        .iter()
+        .map(|&(conv, dense)| {
+            if conv == dense {
+                return DnnConfig::uniform(conv, 2);
+            }
+            let bindings = parse_layer_bindings(&format!("conv1={conv},dense1={dense}"))?;
+            DnnConfig::from_bindings("accurate", &bindings, &["conv1", "dense1"])
+        })
+        .collect()
 }
 
 /// Accuracy of one swept configuration.

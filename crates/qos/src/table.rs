@@ -21,7 +21,7 @@
 use realm_harness::Fnv64;
 use realm_metrics::{DesignSpec, DistanceWorkload, Engine, MonteCarlo, Threads};
 use realm_obs::{atomic_write_str, json::exact_f64, json_string, Json};
-use realm_synth::designs::netlist;
+use realm_synth::designs::{pair, DesignPair};
 use realm_synth::report::{PAPER_ACCURATE_AREA_UM2, PAPER_ACCURATE_POWER_UW};
 use realm_synth::Reporter;
 use std::path::Path;
@@ -159,18 +159,18 @@ impl QosTable {
         for text in zoo_designs() {
             let invalid = |e: &dyn std::fmt::Display| QosError::Design(format!("{text}: {e}"));
             let spec = DesignSpec::parse(&text).map_err(|e| invalid(&e))?;
-            let design = spec.build().map_err(|e| invalid(&e))?;
+            let DesignPair { model, netlist } = pair(&spec).map_err(|e| invalid(&e))?;
             let errors = MonteCarlo::new(cfg.samples, cfg.seed)
                 .with_threads(cfg.threads)
-                .characterize(design.as_ref());
+                .characterize(model.as_ref());
             let distance = Engine::new(cfg.threads)
                 .run(&DistanceWorkload::new(
-                    design.as_ref(),
+                    model.as_ref(),
                     cfg.samples,
                     cfg.seed,
                 ))
                 .ok_or_else(|| invalid(&"the distance campaign drew no samples"))?;
-            let report = reporter.report(&netlist(&spec).map_err(|e| invalid(&e))?);
+            let report = reporter.report(&netlist);
             let cost = 0.5
                 * (report.area_um2 / PAPER_ACCURATE_AREA_UM2
                     + report.power_uw / PAPER_ACCURATE_POWER_UW);

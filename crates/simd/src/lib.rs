@@ -33,8 +33,7 @@
 //!
 //! 1. If the `REALM_FORCE_SCALAR` environment variable is set to
 //!    anything other than `0`/`false`/`off`/empty, the scalar tier is
-//!    forced — the debugging and CI-differential override (the bench
-//!    binaries expose it as `--force-scalar`).
+//!    forced — the debugging and CI-differential override.
 //! 2. On x86-64, AVX2 is probed with `is_x86_feature_detected!`.
 //! 3. Otherwise the scalar tier runs.
 //!

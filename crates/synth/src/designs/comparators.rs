@@ -141,7 +141,7 @@ pub fn ilm_netlist(width: u32, iterations: u32) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::verify::{assert_equivalent, assert_exhaustive8};
+    use crate::designs::verify::assert_equivalent;
     use realm_baselines::{Ilm, ScaleTrim};
 
     #[test]
@@ -153,26 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn scaletrim_8bit_exhaustive_slice() {
-        for (t, c) in [(2u32, true), (4, true), (4, false)] {
-            let model = ScaleTrim::new(8, t, c).unwrap();
-            assert_exhaustive8(&model, &scaletrim_netlist(8, t, c));
-        }
-    }
-
-    #[test]
     fn ilm_matches_behavioural_16bit() {
         for i in [1u32, 2] {
             let model = Ilm::new(16, i).unwrap();
             assert_equivalent(&model, &ilm_netlist(16, i), 300);
-        }
-    }
-
-    #[test]
-    fn ilm_8bit_exhaustive_slice() {
-        for i in [1u32, 2] {
-            let model = Ilm::new(8, i).unwrap();
-            assert_exhaustive8(&model, &ilm_netlist(8, i));
         }
     }
 

@@ -114,7 +114,7 @@ pub fn essm8_netlist() -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::verify::{assert_equivalent, assert_exhaustive8};
+    use crate::designs::verify::assert_equivalent;
     use realm_baselines::{Drum, Essm8, Ssm};
 
     #[test]
@@ -127,26 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn drum_8bit_exhaustive_slice() {
-        for k in [4u32, 6] {
-            let model = Drum::new(8, k).unwrap();
-            assert_exhaustive8(&model, &drum_netlist(8, k));
-        }
-    }
-
-    #[test]
     fn ssm_matches_behavioural() {
         for m in [8u32, 9, 10] {
             let model = Ssm::new(16, m).unwrap();
             assert_equivalent(&model, &ssm_netlist(16, m), 300);
-        }
-    }
-
-    #[test]
-    fn ssm_8bit_exhaustive() {
-        for m in [4u32, 6] {
-            let model = Ssm::new(8, m).unwrap();
-            assert_exhaustive8(&model, &ssm_netlist(8, m));
         }
     }
 

@@ -340,7 +340,7 @@ pub fn implm_netlist(width: u32) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::verify::{assert_equivalent, assert_exhaustive8};
+    use crate::designs::verify::assert_equivalent;
     use realm_baselines::{Alm, AlmAdder, Calm, ImpLm, Mbm};
     use realm_core::{Realm, RealmConfig};
 
@@ -350,27 +350,11 @@ mod tests {
     }
 
     #[test]
-    fn calm_matches_behavioural_8bit_exhaustive() {
-        assert_exhaustive8(&Calm::new(8), &calm_netlist(8));
-    }
-
-    #[test]
     fn mbm_matches_behavioural() {
         for t in [0u32, 4, 9] {
             let model = Mbm::new(16, t).unwrap();
             assert_equivalent(&model, &mbm_netlist(16, t), 300);
         }
-    }
-
-    #[test]
-    fn realm_and_mbm_match_behavioural_8bit_exhaustive() {
-        for m in [4u32, 8] {
-            for t in [0u32, 1] {
-                let model = Realm::new(RealmConfig::new(8, m, t, 6)).unwrap();
-                assert_exhaustive8(&model, &realm_netlist(&model));
-            }
-        }
-        assert_exhaustive8(&Mbm::new(8, 0).unwrap(), &mbm_netlist(8, 0));
     }
 
     #[test]
@@ -403,21 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn alm_matches_behavioural_8bit_exhaustive() {
-        for (adder, lower) in [
-            (AlmAdder::Maa, LowerPart::Or),
-            (AlmAdder::Soa, LowerPart::SetOne),
-        ] {
-            for m in [3u32, 5] {
-                assert_exhaustive8(&Alm::new(8, adder, m), &alm_netlist(8, lower, m));
-            }
-        }
-    }
-
-    #[test]
     fn implm_matches_behavioural() {
         assert_equivalent(&ImpLm::new(16), &implm_netlist(16), 400);
-        assert_exhaustive8(&ImpLm::new(8), &implm_netlist(8));
     }
 
     #[test]

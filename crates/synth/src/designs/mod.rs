@@ -44,37 +44,44 @@ pub struct DesignPair {
     pub netlist: Netlist,
 }
 
-/// The gate-level netlist of a design point, from its family's
-/// generator. Every spec that builds has one.
+/// A design point's behavioural model, as [`DesignSpec::build`] makes
+/// it, built once, and its gate-level netlist from its family's
+/// generator. Every spec that builds has a pair.
 ///
 /// # Errors
 ///
 /// The [`ConfigError`] of a spec whose [`DesignSpec::build`] fails.
-pub fn netlist(spec: &DesignSpec) -> Result<Netlist, ConfigError> {
-    // REALM's and IntALP's generators read the model they build below;
-    // the others take the widths and keys their model's constructor
-    // checks.
-    if !matches!(spec, DesignSpec::Realm(_) | DesignSpec::IntAlp { .. }) {
-        spec.build()?;
-    }
-    Ok(match *spec {
-        DesignSpec::Accurate { w } => wallace_netlist(w),
-        DesignSpec::Realm(config) => realm_netlist(&Realm::new(config)?),
-        DesignSpec::Calm { w } => calm_netlist(w),
-        DesignSpec::AlmMaa { w, m } => alm_netlist(w, AlmAdder::Maa.lower_part(), m),
-        DesignSpec::AlmSoa { w, m } => alm_netlist(w, AlmAdder::Soa.lower_part(), m),
-        DesignSpec::ImpLm { w } => implm_netlist(w),
-        DesignSpec::Mbm { w, t } => mbm_netlist(w, t),
-        DesignSpec::Am1 { w, nb } => am_netlist(w, AmRecovery::Or, nb),
-        DesignSpec::Am2 { w, nb } => am_netlist(w, AmRecovery::Sum, nb),
-        DesignSpec::IntAlp { w, l } => intalp_netlist(&IntAlp::new(w, l)?),
-        DesignSpec::Drum { w, k } => drum_netlist(w, k),
-        DesignSpec::Ssm { w, s } => ssm_netlist(w, s),
-        DesignSpec::Essm8 { .. } => essm8_netlist(),
-        DesignSpec::ScaleTrim { w, t, c } => scaletrim_netlist(w, t, c),
-        DesignSpec::Ilm { w, i } => ilm_netlist(w, i),
-        DesignSpec::Kulkarni { w } => kulkarni_netlist(w),
-    })
+pub fn pair(spec: &DesignSpec) -> Result<DesignPair, ConfigError> {
+    // REALM's and IntALP's generators read the model; the others take
+    // the widths and keys that `build` checks before they run.
+    let built = |generate: &dyn Fn() -> Netlist| Ok::<_, ConfigError>((spec.build()?, generate()));
+    let (model, netlist): (Box<dyn Multiplier>, Netlist) = match *spec {
+        DesignSpec::Accurate { w } => built(&|| wallace_netlist(w))?,
+        DesignSpec::Realm(config) => {
+            let realm = Realm::new(config)?;
+            let netlist = realm_netlist(&realm);
+            (Box::new(realm), netlist)
+        }
+        DesignSpec::Calm { w } => built(&|| calm_netlist(w))?,
+        DesignSpec::AlmMaa { w, m } => built(&|| alm_netlist(w, AlmAdder::Maa.lower_part(), m))?,
+        DesignSpec::AlmSoa { w, m } => built(&|| alm_netlist(w, AlmAdder::Soa.lower_part(), m))?,
+        DesignSpec::ImpLm { w } => built(&|| implm_netlist(w))?,
+        DesignSpec::Mbm { w, t } => built(&|| mbm_netlist(w, t))?,
+        DesignSpec::Am1 { w, nb } => built(&|| am_netlist(w, AmRecovery::Or, nb))?,
+        DesignSpec::Am2 { w, nb } => built(&|| am_netlist(w, AmRecovery::Sum, nb))?,
+        DesignSpec::IntAlp { w, l } => {
+            let intalp = IntAlp::new(w, l)?;
+            let netlist = intalp_netlist(&intalp);
+            (Box::new(intalp), netlist)
+        }
+        DesignSpec::Drum { w, k } => built(&|| drum_netlist(w, k))?,
+        DesignSpec::Ssm { w, s } => built(&|| ssm_netlist(w, s))?,
+        DesignSpec::Essm8 { .. } => built(&essm8_netlist)?,
+        DesignSpec::ScaleTrim { w, t, c } => built(&|| scaletrim_netlist(w, t, c))?,
+        DesignSpec::Ilm { w, i } => built(&|| ilm_netlist(w, i))?,
+        DesignSpec::Kulkarni { w } => built(&|| kulkarni_netlist(w))?,
+    };
+    Ok(DesignPair { model, netlist })
 }
 
 /// The behavioural-model + netlist pair of every Table I row
@@ -82,12 +89,7 @@ pub fn netlist(spec: &DesignSpec) -> Result<Netlist, ConfigError> {
 pub fn table1_pairs() -> Vec<DesignPair> {
     catalog::table1()
         .iter()
-        .filter_map(|spec| {
-            Some(DesignPair {
-                model: spec.build().ok()?,
-                netlist: netlist(spec).ok()?,
-            })
-        })
+        .filter_map(|spec| pair(spec).ok())
         .collect()
 }
 
@@ -106,8 +108,8 @@ mod tests {
     fn every_family_default_has_a_netlist_equal_to_its_model() {
         for family in FAMILIES {
             let spec = DesignSpec::parse(family.name).unwrap();
-            let model = spec.build().unwrap();
-            verify::assert_equivalent(model.as_ref(), &netlist(&spec).unwrap(), 64);
+            let DesignPair { model, netlist } = pair(&spec).unwrap();
+            verify::assert_equivalent(model.as_ref(), &netlist, 64);
         }
     }
 
@@ -124,7 +126,7 @@ mod tests {
             for part in points.chunks(points.len().div_ceil(threads)) {
                 scope.spawn(move || {
                     for (spec, model) in part {
-                        let netlist = netlist(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+                        let netlist = pair(spec).unwrap_or_else(|e| panic!("{spec}: {e}")).netlist;
                         verify::assert_exhaustive8(model.as_ref(), &netlist);
                     }
                 });
@@ -142,7 +144,7 @@ mod tests {
             "kulkarni@12",
         ] {
             let spec = DesignSpec::parse(text).unwrap();
-            assert!(netlist(&spec).is_err(), "{text}");
+            assert!(pair(&spec).is_err(), "{text}");
         }
     }
 }

@@ -14,7 +14,7 @@ use std::path::Path;
 
 use realm::baselines::catalog::FAMILIES;
 use realm::dsp::{orientation_dataset, tiny_net};
-use realm::metrics::dnn::{parse_layer_bindings, DnnConfig};
+use realm::metrics::dnn::{tiny_net_slate, DnnConfig};
 use realm::metrics::parse_design;
 use realm::Multiplier;
 
@@ -23,28 +23,6 @@ const PATCHES: usize = 32;
 /// Seed of the evaluation set.
 const SEED: u64 = 0x90_1D;
 
-/// The `dnn` driver's slate: 11 uniform and 5 mixed per-layer configs.
-const UNIFORM: [&str; 11] = [
-    "accurate",
-    "realm:m=16,t=0",
-    "realm:m=16,t=3",
-    "realm:m=8,t=3",
-    "realm:m=8,t=6",
-    "realm:m=4,t=9",
-    "calm",
-    "drum:k=6",
-    "mbm:t=0",
-    "scaletrim:t=6,c=1",
-    "ilm:i=2",
-];
-const MIXED: [&str; 5] = [
-    "conv1=realm:m=8,t=3,dense1=realm:m=16,t=0",
-    "conv1=realm:m=4,t=9,dense1=realm:m=16,t=0",
-    "conv1=realm:m=8,t=6,dense1=realm:m=16,t=3",
-    "conv1=drum:k=6,dense1=realm:m=16,t=0",
-    "conv1=scaletrim:t=6,c=1,dense1=realm:m=16,t=0",
-];
-
 /// FNV-1a 64 over a byte stream.
 fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -52,16 +30,10 @@ fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// The slate, then each family's default point not already in it.
+/// The `dnn` driver's slate, then each family's default point not
+/// already in it.
 fn configs(mac_layers: &[&str]) -> Vec<DnnConfig> {
-    let mut configs: Vec<DnnConfig> = UNIFORM
-        .iter()
-        .map(|design| DnnConfig::uniform(design, mac_layers.len()).expect("slate design"))
-        .collect();
-    for spec in MIXED {
-        let bindings = parse_layer_bindings(spec).expect("slate layer spec");
-        configs.push(DnnConfig::from_bindings("accurate", &bindings, mac_layers).expect(spec));
-    }
+    let mut configs = tiny_net_slate().expect("the dnn slate");
     for family in FAMILIES {
         let config = DnnConfig::uniform(family.name, mac_layers.len()).expect(family.name);
         if !configs.iter().any(|c| c.label == config.label) {
