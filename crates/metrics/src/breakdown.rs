@@ -7,12 +7,17 @@
 //! cell (up to the fraction-quantization floor in the smallest
 //! intervals). For designs without that property (e.g. SSM's static
 //! segmentation) the breakdown exposes exactly where the error lives.
+//!
+//! A chunk is a fold over the shared chunk body: its nonzero uniform
+//! operand pairs, and their products through the batch kernel up to 32
+//! bits and the wide path above, so every cell scores the true 2N-bit
+//! product at every width.
 
 use realm_core::multiplier::MultiplierExt;
-use realm_core::rng::SplitMix64;
 use realm_core::Multiplier;
 use realm_par::{Chunk, ChunkPlan};
 
+use crate::chunk_body::fold_drawn;
 use crate::engine::Workload;
 use crate::montecarlo::DEFAULT_CHUNK;
 use crate::summary::{ErrorAccumulator, ErrorSummary};
@@ -78,26 +83,13 @@ impl Workload for BreakdownWorkload<'_> {
     }
 
     fn run_chunk(&self, chunk: Chunk) -> Vec<ErrorAccumulator> {
-        let design = self.design;
-        let width = design.width() as usize;
-        let max = design.max_operand();
-        let mut rng = SplitMix64::stream(self.seed, chunk.index);
-        let mut pairs = Vec::with_capacity(chunk.len as usize);
-        for _ in 0..chunk.len {
-            let a = rng.range_inclusive(1, max);
-            let b = rng.range_inclusive(1, max);
-            pairs.push((a, b));
-        }
-        let mut products = vec![0u64; pairs.len()];
-        design.multiply_batch(&pairs, &mut products);
+        let width = self.design.width() as usize;
         let mut cells = vec![ErrorAccumulator::new(); width * width];
-        for (&(a, b), &p) in pairs.iter().zip(&products) {
-            let exact = a as u128 * b as u128; // nonzero: operands are ≥ 1
-            let e = (p as f64 - exact as f64) / exact as f64;
-            let ka = a.ilog2() as usize;
-            let kb = b.ilog2() as usize;
-            cells[ka * width + kb].push(e);
-        }
+        // Operands are ≥ 1, so every exact product is nonzero.
+        fold_drawn(self.design, self.seed, chunk, 1, |a, b, approx, exact| {
+            let cell = a.ilog2() as usize * width + b.ilog2() as usize;
+            cells[cell].push((approx - exact) / exact);
+        });
         cells
     }
 

@@ -146,16 +146,9 @@ impl Engine {
     /// the per-chunk partials in chunk order. `None` when the workload
     /// summarizes to nothing (e.g. every sample was skipped).
     pub fn run<W: Workload>(&self, workload: &W) -> Option<W::Output> {
-        let parts = map_chunks(workload.plan(), self.threads, |chunk| {
-            workload.run_chunk(chunk)
-        });
-        workload.finalize(
-            parts
-                .into_iter()
-                .enumerate()
-                .map(|(i, part)| (i as u64, part))
-                .collect(),
-        )
+        workload.finalize(map_chunks(workload.plan(), self.threads, |chunk| {
+            (chunk.index, workload.run_chunk(chunk))
+        }))
     }
 
     /// Runs the campaign under a [`Supervisor`]: checkpoint/resume,

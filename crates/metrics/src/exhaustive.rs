@@ -2,10 +2,11 @@
 //! paper's error-profile figures (Fig. 1 uses `A, B ∈ {32, …, 255}`,
 //! Fig. 2 uses `{64, …, 255}`).
 //!
-//! Sweeps are row-decomposed: the `b` axis is materialized once, each `a`
-//! row is multiplied through the design's batch kernel, and rows are
-//! distributed over the worker pool in fixed chunks merged in chunk order
-//! — so results do not depend on the thread count.
+//! Sweeps are row-decomposed: each `a` row walks the `b` range in blocks
+//! through the shared product rule (the batch kernel up to 32 bits, the
+//! wide path above), and rows are distributed over the worker pool in
+//! fixed chunks merged in chunk order — so results do not depend on the
+//! thread count, and a sweep holds one block of pairs, never an axis.
 
 use std::ops::RangeInclusive;
 
@@ -14,6 +15,7 @@ use realm_core::Multiplier;
 use realm_harness::{ByteReader, Checkpoint};
 use realm_par::{Chunk, ChunkPlan};
 
+use crate::chunk_body::{fold_products, BLOCK};
 use crate::engine::Workload;
 use crate::summary::{ErrorAccumulator, ErrorSummary};
 
@@ -22,44 +24,16 @@ use crate::summary::{ErrorAccumulator, ErrorSummary};
 /// is identical on any machine.
 const ROWS_PER_CHUNK: u64 = 8;
 
-/// Runs one sweep row through the design's batch kernel: multiplies
-/// `(a, b)` for every `b` in `bs` and reports each pair's signed relative
-/// error (zero products skipped) in `b` order. The scratch buffers are
-/// caller-owned so a chunk of rows reuses one allocation.
-fn for_each_row_error(
-    design: &dyn Multiplier,
-    a: u64,
-    bs: &[u64],
-    pairs: &mut Vec<(u64, u64)>,
-    products: &mut Vec<u64>,
-    mut on_error: impl FnMut(u64, u64, f64),
-) {
-    pairs.clear();
-    pairs.extend(bs.iter().map(|&b| (a, b)));
-    products.clear();
-    products.resize(bs.len(), 0);
-    design.multiply_batch(pairs, products);
-    for (&(a, b), &p) in pairs.iter().zip(products.iter()) {
-        let exact = a as u128 * b as u128;
-        if exact == 0 {
-            continue;
-        }
-        on_error(a, b, (p as f64 - exact as f64) / exact as f64);
-    }
-}
-
 /// The row axes of an exhaustive sweep workload, shared by the
 /// summary-folding [`RangeWorkload`] and the surface-collecting
-/// [`ProfileWorkload`]: the materialized `a` values (one sweep row per
-/// value, [`ROWS_PER_CHUNK`] rows per chunk) and the `b` axis every row
-/// multiplies against.
+/// [`ProfileWorkload`]: the `(lo, hi)` bounds of the `a` axis (one sweep
+/// row per value, [`ROWS_PER_CHUNK`] rows per chunk) and of the `b` axis
+/// each row walks in blocks.
 #[derive(Debug, Clone)]
 struct SweepAxes<'a> {
     design: &'a dyn Multiplier,
-    a_vals: Vec<u64>,
-    bs: Vec<u64>,
-    a_bounds: (u64, u64),
-    b_bounds: (u64, u64),
+    a: (u64, u64),
+    b: (u64, u64),
 }
 
 impl<'a> SweepAxes<'a> {
@@ -70,15 +44,18 @@ impl<'a> SweepAxes<'a> {
     ) -> Self {
         SweepAxes {
             design,
-            a_bounds: (*a_range.start(), *a_range.end()),
-            b_bounds: (*b_range.start(), *b_range.end()),
-            a_vals: a_range.collect(),
-            bs: b_range.collect(),
+            a: a_range.into_inner(),
+            b: b_range.into_inner(),
         }
     }
 
+    /// One row per `a` value. The one `a` range whose count does not fit
+    /// a `u64`, `0..=u64::MAX`, sweeps one row short;
+    /// [`CampaignSpec`](crate::CampaignSpec) rejects it at the boundary.
     fn plan(&self) -> ChunkPlan {
-        ChunkPlan::new(self.a_vals.len() as u64, ROWS_PER_CHUNK)
+        let (lo, hi) = self.a;
+        let rows = hi.checked_sub(lo).map_or(0, |span| span.saturating_add(1));
+        ChunkPlan::new(rows, ROWS_PER_CHUNK)
     }
 
     /// The campaign subject: design label plus both range bounds (the
@@ -87,28 +64,30 @@ impl<'a> SweepAxes<'a> {
         format!(
             "{} a={}..={} b={}..={}",
             self.design.label(),
-            self.a_bounds.0,
-            self.a_bounds.1,
-            self.b_bounds.0,
-            self.b_bounds.1
+            self.a.0,
+            self.a.1,
+            self.b.0,
+            self.b.1
         )
     }
 
-    /// Runs the chunk's rows through the design's batch kernel, feeding
-    /// every (a, b, error) sample — zero products skipped — to `on_error`
-    /// in row-major order.
+    /// Runs the chunk's rows through the shared product rule, feeding
+    /// every (a, b, signed relative error) sample — zero products
+    /// skipped — to `on_error` in row-major order.
     fn for_each_chunk_error(&self, chunk: Chunk, mut on_error: impl FnMut(u64, u64, f64)) {
-        let mut pairs = Vec::new();
-        let mut products = Vec::new();
-        for &a in &self.a_vals[chunk.start as usize..chunk.end() as usize] {
-            for_each_row_error(
-                self.design,
-                a,
-                &self.bs,
-                &mut pairs,
-                &mut products,
-                &mut on_error,
-            );
+        let mut pairs = Vec::with_capacity(BLOCK);
+        let mut products = vec![0; BLOCK];
+        for a in (chunk.start..chunk.end()).map(|row| self.a.0 + row) {
+            let mut bs = self.b.0..=self.b.1;
+            while !bs.is_empty() {
+                pairs.clear();
+                pairs.extend(bs.by_ref().take(BLOCK).map(|b| (a, b)));
+                fold_products(self.design, &pairs, &mut products, |a, b, approx, exact| {
+                    if exact != 0.0 {
+                        on_error(a, b, (approx - exact) / exact);
+                    }
+                });
+            }
         }
     }
 }
@@ -279,7 +258,6 @@ mod tests {
     use super::*;
     use crate::Engine;
     use realm_baselines::Calm;
-    use realm_core::multiplier::MultiplierExt;
     use realm_core::{Accurate, Realm, RealmConfig};
     use realm_par::Threads;
 

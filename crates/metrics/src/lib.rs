@@ -22,6 +22,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod breakdown;
+mod chunk_body;
 pub mod dnn;
 pub mod engine;
 pub mod exhaustive;

@@ -15,11 +15,11 @@
 //! worker-thread count — parallelism only changes wall-clock time.
 
 use realm_core::multiplier::MultiplierExt;
-use realm_core::rng::SplitMix64;
 use realm_core::Multiplier;
 use realm_harness::{CampaignId, HarnessError, Supervised, Supervisor};
 use realm_par::{Chunk, ChunkPlan, Threads};
 
+use crate::chunk_body::fold_drawn;
 use crate::engine::{campaign_id, Engine, Workload};
 use crate::summary::{ErrorAccumulator, ErrorSummary};
 
@@ -27,10 +27,6 @@ use crate::summary::{ErrorAccumulator, ErrorSummary};
 /// paper's 2^24-sample budget — plenty of load-balancing granularity while
 /// keeping per-chunk bookkeeping negligible.
 pub const DEFAULT_CHUNK: u64 = 1 << 16;
-
-/// Operand pairs a chunk draws, multiplies and folds per step: its pair
-/// and product buffers hold this many and are reused across steps.
-const BLOCK: usize = 1 << 12;
 
 /// A reproducible Monte-Carlo characterization campaign.
 ///
@@ -180,61 +176,26 @@ pub struct MonteCarloWorkload<'a> {
 }
 
 impl MonteCarloWorkload<'_> {
-    /// The chunk driver with a sample sink: draws the chunk's operand
-    /// pairs from its own substream, multiplies them through the
-    /// design's batch kernel, and accumulates relative errors (zero
-    /// products skipped, as in the paper). `on_error` observes every
-    /// recorded error in draw order. [`Workload::run_chunk`] is exactly
-    /// this with a no-op sink.
+    /// The chunk driver with a sample sink: folds the chunk's uniform
+    /// operand pairs, drawn and multiplied by the shared chunk body, into
+    /// relative errors (zero products skipped, as in the paper).
+    /// `on_error` observes every recorded error in draw order.
+    /// [`Workload::run_chunk`] is exactly this with a no-op sink.
     pub fn run_chunk_with(&self, chunk: Chunk, mut on_error: impl FnMut(f64)) -> ErrorAccumulator {
-        let design = self.design;
-        let mut rng = SplitMix64::stream(self.campaign.seed, chunk.index);
-        let max = design.max_operand();
         let mut acc = ErrorAccumulator::new();
-        if design.width() > 32 {
-            // Wide designs: the 64-bit batch register clamps 2N-bit
-            // products, so score the unclamped per-pair wide path.
-            for _ in 0..chunk.len {
-                let a = rng.range_inclusive(0, max);
-                let b = rng.range_inclusive(0, max);
-                let exact = a as u128 * b as u128;
-                if exact == 0 {
-                    continue;
+        fold_drawn(
+            self.design,
+            self.campaign.seed,
+            chunk,
+            0,
+            |_, _, approx, exact| {
+                if exact != 0.0 {
+                    let e = (approx - exact) / exact;
+                    acc.push(e);
+                    on_error(e);
                 }
-                let e = (design.multiply_wide(a, b) as f64 - exact as f64) / exact as f64;
-                acc.push(e);
-                on_error(e);
-            }
-            return acc;
-        }
-        // Draw, multiply and fold one block at a time through two reused
-        // buffers. The draws and the fold run in the same order as over
-        // the whole chunk at once, so the accumulator is bit-identical.
-        let block = (chunk.len as usize).min(BLOCK);
-        let mut pairs = vec![(0u64, 0u64); block];
-        let mut products = vec![0u64; block];
-        let mut left = chunk.len as usize;
-        while left > 0 {
-            let n = left.min(BLOCK);
-            left -= n;
-            let (pairs, products) = (&mut pairs[..n], &mut products[..n]);
-            for pair in pairs.iter_mut() {
-                *pair = (rng.range_inclusive(0, max), rng.range_inclusive(0, max));
-            }
-            design.multiply_batch(pairs, products);
-            for (&(a, b), &p) in pairs.iter().zip(products.iter()) {
-                // Operands below 2^32 keep the exact product in a u64,
-                // and u64 → f64 rounds the same integer to the same f64
-                // as u128 → f64 does.
-                let exact = a * b;
-                if exact == 0 {
-                    continue;
-                }
-                let e = (p as f64 - exact as f64) / exact as f64;
-                acc.push(e);
-                on_error(e);
-            }
-        }
+            },
+        );
         acc
     }
 }

@@ -2,13 +2,17 @@
 //! worst-case error distance — the other common yardsticks in the
 //! approximate-arithmetic literature (the survey \[2\] the paper cites),
 //! complementing the relative-error metrics of Table I.
+//!
+//! A chunk is a fold over the shared chunk body: its uniform operand
+//! pairs, and their products through the batch kernel up to 32 bits and
+//! the wide path above, so distances are those of the true 2N-bit
+//! product at every width.
 
 use realm_core::multiplier::MultiplierExt;
-use realm_core::rng::SplitMix64;
 use realm_core::Multiplier;
-use realm_harness::{ByteReader, Checkpoint};
 use realm_par::{Chunk, ChunkPlan};
 
+use crate::chunk_body::fold_drawn;
 use crate::engine::Workload;
 use crate::montecarlo::DEFAULT_CHUNK;
 
@@ -22,29 +26,6 @@ pub struct DistanceSummary {
     pub worst_case: f64,
     /// Samples drawn.
     pub samples: u64,
-}
-
-/// Per-chunk partial of a distance campaign: plain sums, merged in chunk
-/// order by the reduce. Opaque — only the engine and the journal touch
-/// its content.
-#[derive(Debug, Clone, Copy)]
-pub struct DistancePartial {
-    sum: f64,
-    worst: f64,
-}
-
-impl Checkpoint for DistancePartial {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sum.encode(out);
-        self.worst.encode(out);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        Some(DistancePartial {
-            sum: f64::decode(r)?,
-            worst: f64::decode(r)?,
-        })
-    }
 }
 
 /// The [`Workload`] of a distance-metrics campaign: chunk `i` draws
@@ -84,7 +65,8 @@ impl<'a> DistanceWorkload<'a> {
 }
 
 impl Workload for DistanceWorkload<'_> {
-    type Part = DistancePartial;
+    /// The chunk's sum and maximum of absolute error distances.
+    type Part = (f64, f64);
     type Output = DistanceSummary;
 
     fn family(&self) -> &'static str {
@@ -103,32 +85,17 @@ impl Workload for DistanceWorkload<'_> {
         self.seed
     }
 
-    fn run_chunk(&self, chunk: Chunk) -> DistancePartial {
-        let design = self.design;
-        let max = design.max_operand();
-        let mut rng = SplitMix64::stream(self.seed, chunk.index);
-        let mut pairs = Vec::with_capacity(chunk.len as usize);
-        for _ in 0..chunk.len {
-            let a = rng.range_inclusive(0, max);
-            let b = rng.range_inclusive(0, max);
-            pairs.push((a, b));
-        }
-        let mut products = vec![0u64; pairs.len()];
-        design.multiply_batch(&pairs, &mut products);
-        let mut part = DistancePartial {
-            sum: 0.0,
-            worst: 0.0,
-        };
-        for (&(a, b), &p) in pairs.iter().zip(&products) {
-            let exact = (a as u128 * b as u128) as f64;
-            let d = (p as f64 - exact).abs();
-            part.sum += d;
-            part.worst = part.worst.max(d);
-        }
-        part
+    fn run_chunk(&self, chunk: Chunk) -> (f64, f64) {
+        let (mut sum, mut worst) = (0.0f64, 0.0f64);
+        fold_drawn(self.design, self.seed, chunk, 0, |_, _, approx, exact| {
+            let d = (approx - exact).abs();
+            sum += d;
+            worst = worst.max(d);
+        });
+        (sum, worst)
     }
 
-    fn finalize(&self, parts: Vec<(u64, DistancePartial)>) -> Option<DistanceSummary> {
+    fn finalize(&self, parts: Vec<(u64, (f64, f64))>) -> Option<DistanceSummary> {
         let plan = self.plan();
         let covered: u64 = parts.iter().map(|&(i, _)| plan.chunk(i).len).sum();
         if covered == 0 {
@@ -138,9 +105,9 @@ impl Workload for DistanceWorkload<'_> {
         let norm = (max as f64) * (max as f64);
         let mut sum = 0.0f64;
         let mut worst = 0.0f64;
-        for (_, part) in &parts {
-            sum += part.sum;
-            worst = worst.max(part.worst);
+        for &(_, (part_sum, part_worst)) in &parts {
+            sum += part_sum;
+            worst = worst.max(part_worst);
         }
         Some(DistanceSummary {
             nmed: sum / covered as f64 / norm,

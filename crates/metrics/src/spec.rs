@@ -53,6 +53,7 @@ use std::fmt;
 
 pub use realm_baselines::catalog::DesignSpec;
 use realm_baselines::catalog::ParseError;
+use realm_core::multiplier::MultiplierExt;
 use realm_core::{ConfigError, Multiplier};
 use realm_harness::{CampaignId, HarnessError, Supervised, Supervisor};
 use realm_par::{Chunk, ChunkPlan};
@@ -281,8 +282,8 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Validates the campaign description (not the design text — that is
-    /// validated by [`parse_design`] when the workload is built).
+    /// Validates the campaign description (not the design text, nor the
+    /// ranges against the design: [`build_design`](Self::build_design)).
     pub fn validate(&self) -> Result<(), SpecError> {
         match &self.family {
             FamilySpec::MonteCarlo { samples } => {
@@ -295,6 +296,11 @@ impl CampaignSpec {
                     if lo > hi {
                         return Err(SpecError::Invalid(format!(
                             "operand range {name} is empty ({lo}..={hi})"
+                        )));
+                    }
+                    if (hi - lo).checked_add(1).is_none() {
+                        return Err(SpecError::Invalid(format!(
+                            "operand range {name} ({lo}..={hi}) holds more values than a u64 counts"
                         )));
                     }
                 }
@@ -315,9 +321,23 @@ impl CampaignSpec {
         }
     }
 
-    /// Builds the spec's design (validating the design text).
+    /// Builds the spec's design (validating the design text), and
+    /// rejects an exhaustive operand range that reaches past the design's
+    /// largest operand `2^W − 1`, whose products its contract leaves
+    /// unspecified.
     pub fn build_design(&self) -> Result<Box<dyn Multiplier>, SpecError> {
-        parse_design(&self.design)
+        let design = parse_design(&self.design)?;
+        if let FamilySpec::Exhaustive { a, b } = &self.family {
+            let max = design.max_operand();
+            for (name, (lo, hi)) in [("a", a), ("b", b)] {
+                if *hi > max {
+                    return Err(SpecError::Invalid(format!(
+                        "operand range {name} ({lo}..={hi}) is past the design's largest operand {max}"
+                    )));
+                }
+            }
+        }
+        Ok(design)
     }
 
     /// The campaign identity this spec runs under, with an optional
@@ -440,7 +460,6 @@ impl<W: Workload> Workload for Scoped<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use realm_core::multiplier::MultiplierExt;
 
     #[test]
     fn every_design_name_in_the_grammar_builds() {
@@ -567,32 +586,37 @@ mod tests {
         }
     }
 
+    fn exhaustive_spec(design: &str, a: (u64, u64), b: (u64, u64)) -> CampaignSpec {
+        CampaignSpec {
+            design: design.into(),
+            family: FamilySpec::Exhaustive { a, b },
+            seed: 0,
+            chunk: None,
+            error_sla: None,
+        }
+    }
+
     #[test]
     fn validate_catches_empty_sample_spaces() {
         assert!(mc_spec(0).validate().is_err());
-        let empty = CampaignSpec {
-            design: "accurate".into(),
-            family: FamilySpec::Exhaustive {
-                a: (10, 3),
-                b: (1, 2),
-            },
-            seed: 0,
-            chunk: None,
-            error_sla: None,
-        };
+        let empty = exhaustive_spec("accurate", (10, 3), (1, 2));
         assert!(empty.validate().is_err());
         assert_eq!(mc_spec(100).total_samples(), 100);
-        let exh = CampaignSpec {
-            design: "accurate".into(),
-            family: FamilySpec::Exhaustive {
-                a: (1, 10),
-                b: (1, 5),
-            },
-            seed: 0,
-            chunk: None,
-            error_sla: None,
-        };
+        let exh = exhaustive_spec("accurate", (1, 10), (1, 5));
         assert_eq!(exh.total_samples(), 50);
+    }
+
+    #[test]
+    fn exhaustive_ranges_stay_inside_the_design() {
+        let past = exhaustive_spec("realm:m=16,t=0", (0, u32::MAX as u64), (1, 5));
+        assert!(past.validate().is_ok());
+        assert!(matches!(past.build_design(), Err(SpecError::Invalid(_))));
+        let inside = exhaustive_spec("realm:m=16,t=0", (0, 65_535), (1, 5));
+        assert!(inside.build_design().is_ok());
+        let wide = exhaustive_spec("accurate@64", (1, u64::MAX), (1, 5));
+        assert!(wide.campaign_id(None).is_ok());
+        let uncountable = exhaustive_spec("accurate@64", (0, u64::MAX), (1, 5)).campaign_id(None);
+        assert!(matches!(uncountable, Err(SpecError::Invalid(_))));
     }
 
     #[test]
@@ -621,16 +645,7 @@ mod tests {
 
     #[test]
     fn exhaustive_specs_run_too() {
-        let spec = CampaignSpec {
-            design: "calm".into(),
-            family: FamilySpec::Exhaustive {
-                a: (32, 95),
-                b: (32, 95),
-            },
-            seed: 0,
-            chunk: None,
-            error_sla: None,
-        };
+        let spec = exhaustive_spec("calm", (32, 95), (32, 95));
         let sup = Supervisor::new().with_threads(crate::Threads::Fixed(1));
         let out = spec.run_supervised(Some("j"), &sup).unwrap();
         assert!(out.report.is_complete());

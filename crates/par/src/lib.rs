@@ -23,6 +23,11 @@
 //!    results **in chunk order**, so the caller's reduce is a fixed
 //!    left-fold regardless of which worker finished first.
 //!
+//! There is one pool: [`run_chunks_traced`], which the `realm-harness`
+//! supervisor drives with a subset of chunks, a collector, a stop
+//! condition and a completion hook. [`map_chunks`] is that pool over
+//! every chunk with none of the three.
+//!
 //! Steps 1–3 mean the only thing parallelism changes is wall-clock time:
 //! the values folded, and the order they are folded in, are exactly those
 //! of a serial run over the same chunk plan.
@@ -50,7 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Instant;
 
-use realm_obs::{Collector, Event};
+use realm_obs::{Collector, Event, NullCollector};
 
 /// Worker-count policy for a parallel campaign.
 ///
@@ -181,66 +186,40 @@ impl ChunkPlan {
 /// Executes `f` over every chunk of `plan` and returns the results **in
 /// chunk order**, using up to `threads` scoped worker threads.
 ///
-/// Workers claim chunks from a shared atomic counter, so load balances
-/// dynamically; because each result is tagged with its chunk index and the
-/// output is reassembled positionally, the caller observes the exact
+/// This is [`run_chunks_traced`] over every chunk, untraced, with no
+/// stop condition and no completion hook: workers claim chunks from a
+/// shared atomic counter, so load balances dynamically, and the results
+/// are reassembled by chunk index, so the caller observes the exact
 /// sequence a serial loop would produce. With one worker (or a single
-/// chunk) the pool is bypassed entirely and `f` runs inline on the calling
-/// thread.
+/// chunk) `f` runs inline on the calling thread.
 ///
 /// # Panics
 ///
-/// If `f` panics on any chunk, the panic is resumed on the calling thread
-/// after the pool unwinds (other in-flight chunks run to completion).
+/// If `f` panics on any chunk, the pool finishes the other chunks and
+/// then re-raises the lowest such chunk's panic on the calling thread,
+/// with its message as the payload.
 pub fn map_chunks<T, F>(plan: ChunkPlan, threads: Threads, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Chunk) -> T + Sync,
 {
-    let num_chunks = plan.num_chunks();
-    let workers = threads.resolve().min(num_chunks.max(1) as usize);
-    if workers <= 1 {
-        return plan.chunks().map(f).collect();
-    }
-
-    let next = AtomicU64::new(0);
-    let worker = |_id: usize| -> Result<Vec<(u64, T)>, Box<dyn std::any::Any + Send>> {
-        let mut produced = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= num_chunks {
-                return Ok(produced);
-            }
-            let chunk = plan.chunk(i);
-            match catch_unwind(AssertUnwindSafe(|| f(chunk))) {
-                Ok(value) => produced.push((i, value)),
-                Err(payload) => return Err(payload),
-            }
-        }
-    };
-
-    let mut tagged: Vec<(u64, T)> = Vec::with_capacity(num_chunks as usize);
-    let mut panic_payload = None;
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|id| scope.spawn(move || worker(id)))
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(part)) => tagged.extend(part),
-                Ok(Err(payload)) | Err(payload) => panic_payload = Some(payload),
-            }
-        }
-    });
-    if let Some(payload) = panic_payload {
-        resume_unwind(payload);
-    }
-
-    // Reassemble in chunk order: scheduling decided who computed what,
-    // never the order the caller sees.
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(tagged.len(), num_chunks as usize);
-    tagged.into_iter().map(|(_, v)| v).collect()
+    let indices: Vec<u64> = (0..plan.num_chunks()).collect();
+    let runs = run_chunks_traced(
+        plan,
+        threads,
+        &indices,
+        0,
+        &NullCollector,
+        &|| false,
+        &f,
+        &|_, _| {},
+    );
+    runs.into_iter()
+        .map(|(_, run)| match run {
+            ChunkRun::Completed(value) => value,
+            ChunkRun::Panicked(message) => resume_unwind(Box::new(message)),
+        })
+        .collect()
 }
 
 /// The outcome of one supervised chunk execution.
@@ -274,13 +253,12 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The fault-isolating sibling of [`map_chunks`]: executes an explicit
-/// subset of a plan's chunks, catches per-chunk panics instead of
-/// aborting the campaign, reports each chunk the moment it finishes,
-/// stops claiming new chunks once `should_stop` turns true, and brackets
-/// every chunk execution with `chunk_start` / `chunk_end` events on
-/// `collector`, timed with a monotonic clock on the worker thread that
-/// ran it.
+/// The workspace's one worker pool: executes an explicit subset of a
+/// plan's chunks, catches per-chunk panics instead of aborting the
+/// campaign, reports each chunk the moment it finishes, stops claiming
+/// new chunks once `should_stop` turns true, and brackets every chunk
+/// execution with `chunk_start` / `chunk_end` events on `collector`,
+/// timed with a monotonic clock on the worker thread that ran it.
 ///
 /// This is the execution primitive the `realm-harness` supervisor builds
 /// checkpoint/resume, retry/quarantine and deadline handling on:
@@ -306,11 +284,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Returns the attempted chunks as `(index, outcome)` **sorted by chunk
 /// index**; chunks skipped because `should_stop` tripped are absent.
-/// Like [`map_chunks`], scheduling never affects payload values — only
-/// which chunks got a chance to run before the stop. Observability is
-/// passive too: the collector sees timings but never influences chunk
-/// payloads, ordering or scheduling, so a traced run is bit-identical to
-/// an untraced one.
+/// Scheduling never affects payload values — only which chunks got a
+/// chance to run before the stop. Observability is passive too: the
+/// collector sees timings but never influences chunk payloads, ordering
+/// or scheduling, so a traced run is bit-identical to an untraced one.
 #[allow(clippy::too_many_arguments)] // the supervision surface is one call deep
 pub fn run_chunks_traced<T, F, C, S>(
     plan: ChunkPlan,
@@ -358,42 +335,34 @@ where
         run
     };
 
-    let workers = threads.resolve().min(indices.len().max(1));
-    let mut tagged: Vec<(u64, ChunkRun<T>)> = Vec::with_capacity(indices.len());
-    if workers <= 1 {
-        for &chunk_index in indices {
-            if should_stop() {
+    let next = AtomicU64::new(0);
+    let worker = || {
+        let mut produced = Vec::new();
+        while !should_stop() {
+            let slot = next.fetch_add(1, Ordering::Relaxed) as usize;
+            let Some(&chunk_index) = indices.get(slot) else {
                 break;
-            }
-            tagged.push((chunk_index, run_one(chunk_index)));
+            };
+            produced.push((chunk_index, run_one(chunk_index)));
         }
+        produced
+    };
+    let workers = threads.resolve().min(indices.len().max(1));
+    let mut tagged = if workers <= 1 {
+        worker()
     } else {
-        let next = AtomicU64::new(0);
-        let worker = || {
-            let mut produced = Vec::new();
-            loop {
-                if should_stop() {
-                    return produced;
-                }
-                let slot = next.fetch_add(1, Ordering::Relaxed) as usize;
-                let Some(&chunk_index) = indices.get(slot) else {
-                    return produced;
-                };
-                produced.push((chunk_index, run_one(chunk_index)));
-            }
-        };
         thread::scope(|scope| {
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            // A worker can only die if `on_complete` panicked, which the
+            // contract forbids; degrade by dropping that worker's chunks
+            // (they will re-run on resume).
+            let mut tagged = Vec::with_capacity(indices.len());
             for handle in handles {
-                // A worker can only die if `on_complete` panicked,
-                // which the contract forbids; degrade by dropping
-                // that worker's chunks (they will re-run on resume).
-                if let Ok(part) = handle.join() {
-                    tagged.extend(part);
-                }
+                tagged.extend(handle.join().unwrap_or_default());
             }
-        });
-    }
+            tagged
+        })
+    };
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged
 }
@@ -401,7 +370,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use realm_obs::NullCollector;
 
     #[test]
     fn threads_resolve_is_at_least_one() {
@@ -502,13 +470,20 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let plan = ChunkPlan::new(16, 1);
-        let result = std::panic::catch_unwind(|| {
-            map_chunks(plan, Threads::Fixed(4), |c| {
-                assert!(c.index != 5, "boom on chunk 5");
-                c.index
-            })
-        });
-        assert!(result.is_err());
+        for workers in [1usize, 4] {
+            let result = std::panic::catch_unwind(|| {
+                map_chunks(plan, Threads::Fixed(workers), |c| {
+                    assert!(c.index != 5, "boom on chunk 5");
+                    c.index
+                })
+            });
+            let payload = result.expect_err("chunk 5 panics");
+            let message = panic_message(payload.as_ref());
+            assert!(
+                message.contains("boom on chunk 5"),
+                "workers={workers}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -110,6 +110,15 @@ fn invalid_submissions_and_unknown_resources_are_4xx() {
             r#"{"design":"implm@33","samples":10}"#,
             "invalid design configuration",
         ),
+        // Exhaustive ranges past the design or past a u64 count.
+        (
+            r#"{"design":"realm:m=16,t=0","family":"exhaustive","a":[0,4294967295],"b":[1,5]}"#,
+            "past the design's largest operand 65535",
+        ),
+        (
+            r#"{"design":"accurate@64","family":"exhaustive","a":[1,5],"b":[0,18446744073709551615]}"#,
+            "more values than a u64 counts",
+        ),
     ] {
         let (status, reply) = submit(&server, body);
         assert_eq!(status, 400, "{body} -> {reply}");
